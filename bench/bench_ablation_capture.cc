@@ -9,10 +9,10 @@
 
 #include "algos/connected_components.h"
 #include "algos/graph_coloring.h"
-#include "debug/debug_runner.h"
 #include "debug/vertex_trace.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace {
@@ -122,7 +122,7 @@ void BM_InstrumentedZeroCaptureJob(benchmark::State& state) {
     graft::InMemoryTraceStore store;
     spec.debug_config = &config;
     spec.trace_store = &store;
-    auto summary = graft::debug::RunWithGraft(std::move(spec));
+    auto summary = graft::pregel::RunJob(std::move(spec));
     GRAFT_CHECK(summary.ok()) << summary.status();
     GRAFT_CHECK(summary->job_status.ok());
     benchmark::DoNotOptimize(summary->captures);

@@ -203,54 +203,6 @@ graft::pregel::JobSpec<graft::algos::PageRankTraits> SocEpinionsSpec(
   return spec;
 }
 
-// The multi-process tax (DESIGN.md §15): the same PageRank job sharded
-// across forked worker processes behind the SocketTransport, with the frame
-// traffic exported as counters. The in-process guard is twofold: the run
-// itself GRAFT_CHECKs that the socket backend reproduces the in-process
-// backend's message/superstep totals exactly, and CI compares the untouched
-// BM_PageRankSocEpinions above across commits — InProcTransport is required
-// to stay within noise of the pre-transport baseline (its engine path gains
-// only a null-hook test).
-void BM_PageRankSocEpinionsSocketTransport(benchmark::State& state) {
-  const char* env = std::getenv("GRAFT_BENCH_SCALE");
-  graft::graph::DatasetOptions options;
-  options.scale_denominator = (env != nullptr && std::atoll(env) > 0)
-                                  ? static_cast<uint64_t>(std::atoll(env))
-                                  : 8;
-  auto graph = graft::graph::MakeDataset("soc-Epinions", options);
-  GRAFT_CHECK(graph.ok()) << graph.status();
-  const int num_workers = static_cast<int>(state.range(0));
-  auto reference = graft::pregel::RunJob(SocEpinionsSpec(*graph, num_workers));
-  GRAFT_CHECK(reference.ok()) << reference.status();
-  GRAFT_CHECK(reference->job_status.ok()) << reference->job_status;
-  uint64_t messages = 0, bytes_sent = 0, bytes_received = 0;
-  for (auto _ : state) {
-    auto spec = SocEpinionsSpec(*graph, num_workers);
-    spec.transport.kind = graft::pregel::TransportKind::kSocket;
-    spec.transport.worker_processes = num_workers;
-    auto summary = graft::pregel::RunJob(std::move(spec));
-    GRAFT_CHECK(summary.ok()) << summary.status();
-    GRAFT_CHECK(summary->job_status.ok()) << summary->job_status;
-    GRAFT_CHECK(summary->stats.report.transport == "socket");
-    GRAFT_CHECK(summary->stats.total_messages ==
-                reference->stats.total_messages);
-    GRAFT_CHECK(summary->stats.supersteps == reference->stats.supersteps);
-    messages += summary->stats.total_messages;
-    bytes_sent += summary->stats.report.transport_bytes_sent;
-    bytes_received += summary->stats.report.transport_bytes_received;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(messages));
-  state.counters["msgs/s"] = benchmark::Counter(
-      static_cast<double>(messages), benchmark::Counter::kIsRate);
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["frame_bytes_out"] = static_cast<double>(bytes_sent) / iters;
-  state.counters["frame_bytes_in"] =
-      static_cast<double>(bytes_received) / iters;
-}
-BENCHMARK(BM_PageRankSocEpinionsSocketTransport)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 // Bench guard for DESIGN.md §9: the sanitizer *disabled* (the JobSpec
 // default) must cost nothing — no phase stamps, no wrapping, no epoch loads.
 // CI compares this against BM_PageRankSocEpinions above in BENCH_engine.json;

@@ -28,11 +28,11 @@
 #include "algos/graph_coloring.h"
 #include "algos/max_weight_matching.h"
 #include "algos/random_walk.h"
-#include "debug/debug_runner.h"
 #include "debug/views/text_table.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace {
@@ -148,9 +148,9 @@ Sample RunConfig(DC dc, const ClusterBinding<Traits>& binding, int reps) {
       // (ISSUE 5): trace bytes are identical, only the critical-path cost
       // moves.
       spec.capture_io.async = EnvInt("GRAFT_CAPTURE_ASYNC", 0) > 0;
-      auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+      auto summary_or = graft::pregel::RunJob(std::move(spec));
       GRAFT_CHECK(summary_or.ok()) << summary_or.status();
-      const graft::debug::DebugRunSummary& summary = *summary_or;
+      const graft::pregel::JobRunSummary& summary = *summary_or;
       GRAFT_CHECK(summary.job_status.ok()) << summary.job_status;
       sample.captures = summary.captures;
       sample.violations = summary.violations;

@@ -18,12 +18,12 @@
 
 #include "algos/graph_coloring.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
+#include "debug/debug_session.h"
 #include "debug/reproducer.h"
-#include "debug/trace_reader.h"
 #include "debug/views/gui_views.h"
 #include "graph/datasets.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 
 using graft::VertexId;
 using graft::algos::GCTraits;
@@ -78,12 +78,12 @@ int main() {
       final_color[v.id()] = v.value().color;
     });
   };
-  auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+  auto summary_or = graft::pregel::RunJob(std::move(spec));
   if (!summary_or.ok()) {
     std::fprintf(stderr, "%s\n", summary_or.status().ToString().c_str());
     return 1;
   }
-  graft::debug::DebugRunSummary summary = std::move(summary_or).value();
+  graft::pregel::JobRunSummary summary = std::move(summary_or).value();
   std::printf("run: %s\n", summary.stats.ToString().c_str());
   std::printf("captures: %llu (%llu trace bytes)\n\n",
               static_cast<unsigned long long>(summary.captures),
@@ -119,19 +119,22 @@ int main() {
   focus_spec.master = graft::algos::MakeGraphColoringMasterFactory();
   focus_spec.debug_config = &focus_config;
   focus_spec.trace_store = &focus_store;
-  if (auto focus = graft::debug::RunWithGraft(std::move(focus_spec));
+  if (auto focus = graft::pregel::RunJob(std::move(focus_spec));
       !focus.ok()) {
     std::fprintf(stderr, "%s\n", focus.status().ToString().c_str());
     return 1;
   }
 
+  auto session = graft::debug::DebugSession<GCTraits>::Open(
+      &focus_store, "gc-scenario-focus");
+  if (!session.ok()) {
+    std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
+    return 1;
+  }
   int64_t suspicious_superstep = -1;
-  for (int64_t s :
-       graft::debug::ListCapturedSupersteps(focus_store, "gc-scenario-focus")) {
-    auto tu = graft::debug::ReadVertexTrace<GCTraits>(focus_store,
-                                                      "gc-scenario-focus", s, u);
-    auto tv = graft::debug::ReadVertexTrace<GCTraits>(focus_store,
-                                                      "gc-scenario-focus", s, v);
+  for (int64_t s : session->supersteps()) {
+    auto tu = session->FindVertexTrace(s, u);
+    auto tv = session->FindVertexTrace(s, v);
     if (tu.ok() && tv.ok() &&
         tu->value_after.state == graft::algos::GCState::kInSet &&
         tv->value_after.state == graft::algos::GCState::kInSet) {
@@ -155,8 +158,7 @@ int main() {
 
   // "We generate a JUnit test case from the GUI replicating the lines of
   // code that executed for vertex u in superstep s."
-  auto trace = graft::debug::ReadVertexTrace<GCTraits>(
-      focus_store, "gc-scenario-focus", suspicious_superstep, u);
+  auto trace = session->FindVertexTrace(suspicious_superstep, u);
   if (trace.ok()) {
     graft::debug::CodegenBinding binding;
     binding.traits_type = "graft::algos::GCTraits";

@@ -18,11 +18,11 @@
 
 #include "algos/graph_coloring.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
+#include "debug/debug_session.h"
 #include "debug/reproducer.h"
-#include "debug/trace_reader.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 
 using graft::VertexId;
 using graft::algos::GCTraits;
@@ -50,24 +50,29 @@ int main() {
       if (v.value().color < 0) ++uncolored;
     });
   };
-  auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+  auto summary_or = graft::pregel::RunJob(std::move(spec));
   if (!summary_or.ok()) {
     std::fprintf(stderr, "%s\n", summary_or.status().ToString().c_str());
     return 1;
   }
-  graft::debug::DebugRunSummary summary = std::move(summary_or).value();
+  graft::pregel::JobRunSummary summary = std::move(summary_or).value();
   std::printf("run: %s\n", summary.stats.ToString().c_str());
   std::printf("uncolored vertices at termination: %lld of %zu  <-- premature "
               "termination!\n\n",
               static_cast<long long>(uncolored), graph.NumVertices());
 
   // 2. Visualize the captured master contexts superstep by superstep.
-  auto supersteps = graft::debug::ListCapturedSupersteps(store,
-                                                         "gc-master-bug");
+  auto session =
+      graft::debug::DebugSession<GCTraits>::Open(&store, "gc-master-bug");
+  if (!session.ok()) {
+    std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<int64_t>& supersteps = session->supersteps();
   std::printf("captured master contexts: %zu supersteps\n", supersteps.size());
   graft::debug::MasterTrace halting_trace;
   for (int64_t s : supersteps) {
-    auto trace = graft::debug::ReadMasterTrace(store, "gc-master-bug", s);
+    auto trace = session->Master(s);
     if (!trace.ok()) continue;
     std::printf("  superstep %3lld: phase=%-19s undecided=%-4s uncolored=%-6s "
                 "halted=%s\n",

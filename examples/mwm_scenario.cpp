@@ -15,11 +15,11 @@
 #include <cstdlib>
 
 #include "algos/max_weight_matching.h"
-#include "debug/debug_runner.h"
 #include "debug/views/gui_views.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 
 using graft::VertexId;
 using graft::algos::MWMTraits;
@@ -102,12 +102,12 @@ int main() {
   spec.computation = graft::algos::MakeMaxWeightMatchingFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+  auto summary_or = graft::pregel::RunJob(std::move(spec));
   if (!summary_or.ok()) {
     std::fprintf(stderr, "%s\n", summary_or.status().ToString().c_str());
     return 1;
   }
-  graft::debug::DebugRunSummary summary = std::move(summary_or).value();
+  graft::pregel::JobRunSummary summary = std::move(summary_or).value();
   std::printf("debug run captured %llu active-vertex contexts from superstep "
               "%lld on (%llu trace bytes)\n\n",
               static_cast<unsigned long long>(summary.captures),

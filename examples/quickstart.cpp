@@ -12,13 +12,13 @@
 
 #include "algos/connected_components.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
 #include "debug/debug_session.h"
 #include "debug/reproducer.h"
 #include "debug/views/gui_views.h"
 #include "debug/views/text_table.h"
 #include "graph/builder.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 using graft::VertexId;
@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
   spec.computation = graft::algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = store.get();
-  auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+  auto summary_or = graft::pregel::RunJob(std::move(spec));
   if (!summary_or.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  summary_or.status().ToString().c_str());
     return 1;
   }
-  graft::debug::DebugRunSummary summary = std::move(summary_or).value();
+  graft::pregel::JobRunSummary summary = std::move(summary_or).value();
   std::printf("job: %s\n", summary.stats.ToString().c_str());
   std::printf("Graft captured %llu vertex contexts (%llu trace bytes)\n\n",
               static_cast<unsigned long long>(summary.captures),

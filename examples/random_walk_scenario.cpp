@@ -19,11 +19,11 @@
 
 #include "algos/random_walk.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
 #include "debug/reproducer.h"
 #include "debug/views/gui_views.h"
 #include "graph/datasets.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 using graft::VertexId;
@@ -79,12 +79,12 @@ int main() {
       kSteps, kWalkersPerVertex);
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = graft::debug::RunWithGraft(std::move(spec));
+  auto summary_or = graft::pregel::RunJob(std::move(spec));
   if (!summary_or.ok()) {
     std::fprintf(stderr, "%s\n", summary_or.status().ToString().c_str());
     return 1;
   }
-  graft::debug::DebugRunSummary summary = std::move(summary_or).value();
+  graft::pregel::JobRunSummary summary = std::move(summary_or).value();
   std::printf("run: %s\n", summary.stats.ToString().c_str());
   std::printf("constraint violations: %llu across %llu captured contexts\n\n",
               static_cast<unsigned long long>(summary.violations),

@@ -279,144 +279,6 @@ class CaptureManager {
     }
   }
 
-  // ---- Multi-process sideband (DESIGN.md §15) ---------------------------
-  //
-  // Under the socket transport each worker process inherits a fork-time copy
-  // of this manager. Trace records themselves travel through the forwarding
-  // store, but the counters and manifest entries accumulate in the child's
-  // copy and would die with it. The child therefore ships a *delta* — the
-  // counters and manifest entries accrued since the last shipment — at every
-  // checkpoint barrier and once at process exit; the leader folds each delta
-  // into its own manager, so checkpoint-time snapshots and the final report
-  // see the same totals an in-process run would.
-
-  /// Called in the worker process immediately after fork: everything the
-  /// manager holds right now was inherited from (and is still counted by)
-  /// the leader, so the shipping watermark starts here.
-  void BeginSidebandTracking() {
-    sideband_base_ = SnapshotCounters();
-    sideband_entry_base_.assign(manifest_slots_.size(), 0);
-    for (size_t i = 0; i < manifest_slots_.size(); ++i) {
-      std::lock_guard<std::mutex> lock(manifest_slots_[i].mutex);
-      sideband_entry_base_[i] = manifest_slots_[i].entries.size();
-    }
-  }
-
-  /// Serializes counters/entries accrued since the watermark and advances
-  /// the watermark. Worker-process side; only between supersteps.
-  std::string TakeSidebandDelta() {
-    const CaptureCounters now = SnapshotCounters();
-    const CaptureCounters& base = sideband_base_;
-    BinaryWriter w;
-    w.WriteVarint(now.captures - base.captures);
-    w.WriteVarint(now.master_captures - base.master_captures);
-    w.WriteVarint(now.violations - base.violations);
-    w.WriteVarint(now.exceptions - base.exceptions);
-    w.WriteVarint(now.dropped_by_limit - base.dropped_by_limit);
-    w.WriteVarint(now.breakpoint_hits - base.breakpoint_hits);
-    w.WriteDouble(now.serialize_seconds - base.serialize_seconds);
-    w.WriteVarint(now.sink.appends - base.sink.appends);
-    w.WriteVarint(now.sink.bytes - base.sink.bytes);
-    w.WriteVarint(now.sink.flushes - base.sink.flushes);
-    w.WriteVarint(now.sink.batches - base.sink.batches);
-    w.WriteVarint(now.sink.backpressure_waits - base.sink.backpressure_waits);
-    w.WriteVarint(now.sink.max_queue_depth);  // high-water mark, not a delta
-    w.WriteDouble(now.sink.append_seconds - base.sink.append_seconds);
-    w.WriteDouble(now.sink.flush_seconds - base.sink.flush_seconds);
-    uint64_t slots_with_entries = 0;
-    for (size_t i = 0; i < manifest_slots_.size(); ++i) {
-      std::lock_guard<std::mutex> lock(manifest_slots_[i].mutex);
-      if (manifest_slots_[i].entries.size() > sideband_entry_base_[i]) {
-        ++slots_with_entries;
-      }
-    }
-    w.WriteVarint(slots_with_entries);
-    for (size_t i = 0; i < manifest_slots_.size(); ++i) {
-      ManifestSlot& slot = manifest_slots_[i];
-      std::lock_guard<std::mutex> lock(slot.mutex);
-      if (slot.entries.size() <= sideband_entry_base_[i]) continue;
-      w.WriteVarint(i);
-      w.WriteVarint(slot.entries.size() - sideband_entry_base_[i]);
-      for (size_t e = sideband_entry_base_[i]; e < slot.entries.size(); ++e) {
-        const TraceManifestEntry& entry = slot.entries[e];
-        w.WriteU8(static_cast<uint8_t>(entry.kind));
-        w.WriteSignedVarint(entry.superstep);
-        w.WriteSignedVarint(entry.vertex_id);
-        w.WriteSignedVarint(entry.worker);
-        w.WriteVarint(entry.record_index);
-      }
-      sideband_entry_base_[i] = slot.entries.size();
-    }
-    sideband_base_ = now;
-    return std::move(w.TakeBuffer());
-  }
-
-  /// Leader side: folds one worker process's delta into this manager.
-  Status MergeSidebandDelta(std::string_view payload) {
-    BinaryReader r(payload);
-    GRAFT_ASSIGN_OR_RETURN(uint64_t captures, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(uint64_t master_captures, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(uint64_t violations, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(uint64_t exceptions, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(uint64_t dropped, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(uint64_t hits, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(double serialize, r.ReadDouble());
-    TraceSinkStats sink_delta;
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.appends, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.bytes, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.flushes, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.batches, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.backpressure_waits, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.max_queue_depth, r.ReadVarint());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.append_seconds, r.ReadDouble());
-    GRAFT_ASSIGN_OR_RETURN(sink_delta.flush_seconds, r.ReadDouble());
-    captures_.fetch_add(captures, std::memory_order_relaxed);
-    master_captures_.fetch_add(master_captures, std::memory_order_relaxed);
-    violations_.fetch_add(violations, std::memory_order_relaxed);
-    exceptions_.fetch_add(exceptions, std::memory_order_relaxed);
-    dropped_by_limit_.fetch_add(dropped, std::memory_order_relaxed);
-    breakpoint_hits_.fetch_add(hits, std::memory_order_relaxed);
-    serialize_seconds_.fetch_add(serialize, std::memory_order_relaxed);
-    TraceSinkStats merged = sink_->stats();
-    merged.appends += sink_delta.appends;
-    merged.bytes += sink_delta.bytes;
-    merged.flushes += sink_delta.flushes;
-    merged.batches += sink_delta.batches;
-    merged.backpressure_waits += sink_delta.backpressure_waits;
-    merged.max_queue_depth =
-        std::max(merged.max_queue_depth, sink_delta.max_queue_depth);
-    merged.append_seconds += sink_delta.append_seconds;
-    merged.flush_seconds += sink_delta.flush_seconds;
-    sink_->RestoreStats(merged);
-    GRAFT_ASSIGN_OR_RETURN(uint64_t slots_with_entries, r.ReadVarint());
-    for (uint64_t s = 0; s < slots_with_entries; ++s) {
-      GRAFT_ASSIGN_OR_RETURN(uint64_t slot_index, r.ReadVarint());
-      GRAFT_ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-      if (slot_index >= manifest_slots_.size()) {
-        return Status::InvalidArgument("sideband manifest slot out of range");
-      }
-      ManifestSlot& slot = manifest_slots_[slot_index];
-      std::lock_guard<std::mutex> lock(slot.mutex);
-      for (uint64_t e = 0; e < count; ++e) {
-        GRAFT_ASSIGN_OR_RETURN(uint8_t kind, r.ReadU8());
-        TraceManifestEntry entry;
-        entry.kind = static_cast<TraceRecordKind>(kind);
-        GRAFT_ASSIGN_OR_RETURN(entry.superstep, r.ReadSignedVarint());
-        GRAFT_ASSIGN_OR_RETURN(entry.vertex_id, r.ReadSignedVarint());
-        GRAFT_ASSIGN_OR_RETURN(int64_t worker, r.ReadSignedVarint());
-        entry.worker = static_cast<int32_t>(worker);
-        GRAFT_ASSIGN_OR_RETURN(entry.record_index, r.ReadVarint());
-        slot.current_superstep = entry.superstep;
-        slot.next_index = std::max(slot.next_index, entry.record_index + 1);
-        slot.entries.push_back(entry);
-      }
-    }
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes in capture sideband");
-    }
-    return Status::OK();
-  }
-
   /// Writes the job's manifest index as one framed record to
   /// ManifestFile(job_id). Called once at the end of a successful run, after
   /// the final sink quiesce; entries are emitted in sorted order so the
@@ -571,9 +433,6 @@ class CaptureManager {
   bool capture_all_active_ = false;
   uint64_t max_captures_ = 0;
   const analysis::Predicate* breakpoint_ = nullptr;
-
-  CaptureCounters sideband_base_;
-  std::vector<size_t> sideband_entry_base_;
 
   std::atomic<uint64_t> captures_{0};
   std::atomic<uint64_t> master_captures_{0};

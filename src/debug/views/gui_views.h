@@ -56,17 +56,6 @@ Result<SuperstepSnapshot<Traits>> LoadSnapshot(
   return snapshot;
 }
 
-/// Convenience overload opening a one-shot DebugSession. Prefer holding a
-/// session when loading several supersteps of one job.
-template <pregel::JobTraits Traits>
-Result<SuperstepSnapshot<Traits>> LoadSnapshot(const TraceStore& store,
-                                               const std::string& job_id,
-                                               int64_t superstep) {
-  GRAFT_ASSIGN_OR_RETURN(DebugSession<Traits> session,
-                         DebugSession<Traits>::Open(&store, job_id));
-  return LoadSnapshot(session, superstep);
-}
-
 namespace internal_views {
 
 inline std::string StatusFlags(bool msg_violation, bool vv_violation,
@@ -282,15 +271,16 @@ template <pregel::JobTraits Traits>
 class GraftGui {
  public:
   GraftGui(const TraceStore* store, std::string job_id)
-      : store_(store), job_id_(std::move(job_id)) {
-    auto session = DebugSession<Traits>::Open(store_, job_id_);
+      : job_id_(std::move(job_id)) {
+    auto session = DebugSession<Traits>::Open(store, job_id_);
     if (session.ok()) {
       session_.emplace(std::move(session).value());
       supersteps_ = session_->supersteps();
     } else {
       // Corrupt manifest: degrade to the directory scan so the views still
-      // show whatever traces are readable.
-      supersteps_ = ListCapturedSupersteps(*store_, job_id_);
+      // list the captured supersteps; snapshots report the open error.
+      open_status_ = session.status();
+      supersteps_ = ListCapturedSupersteps(*store, job_id_);
     }
   }
 
@@ -330,10 +320,8 @@ class GraftGui {
     if (supersteps_.empty()) {
       return Status::NotFound("job '" + job_id_ + "' has no captures");
     }
-    if (session_.has_value()) {
-      return LoadSnapshot(*session_, current_superstep());
-    }
-    return LoadSnapshot<Traits>(*store_, job_id_, current_superstep());
+    if (!session_.has_value()) return open_status_;
+    return LoadSnapshot(*session_, current_superstep());
   }
 
   /// Structured view of the current superstep — the GraftGui entry point
@@ -380,9 +368,9 @@ class GraftGui {
   }
 
  private:
-  const TraceStore* store_;
   std::string job_id_;
   std::optional<DebugSession<Traits>> session_;
+  Status open_status_;  // why session_ is empty, when it is
   std::vector<int64_t> supersteps_;
   size_t cursor_ = 0;
 };

@@ -89,9 +89,6 @@ void RunReport::AppendJson(JsonWriter* writer) const {
   w.KV("supersteps", supersteps);
   w.KV("total_seconds", total_seconds);
   w.KV("transport", transport);
-  w.KV("worker_processes", static_cast<int64_t>(worker_processes));
-  w.KV("transport_bytes_sent", transport_bytes_sent);
-  w.KV("transport_bytes_received", transport_bytes_received);
   w.Key("phase_totals");
   w.BeginObject();
   w.KV(PhaseName(Phase::kMutation), TotalMutationSeconds());

@@ -145,14 +145,9 @@ struct RunReport {
   int num_workers = 0;
   int64_t supersteps = 0;
   double total_seconds = 0.0;
-  /// Execution backend (DESIGN.md §15): "inproc" for the shared-memory
-  /// thread pool, "socket" for multi-process sharding. The socket backend
-  /// also reports its OS process count and the total frame bytes the
-  /// leader moved in each direction — the overhead table's numerator.
+  /// Execution backend (DESIGN.md §15): "inproc", the shared-memory
+  /// thread pool.
   std::string transport = "inproc";
-  int worker_processes = 1;
-  uint64_t transport_bytes_sent = 0;
-  uint64_t transport_bytes_received = 0;
   std::vector<SuperstepProfile> per_superstep;
   CaptureProfile capture;
   AnalysisProfile analysis;

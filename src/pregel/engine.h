@@ -35,7 +35,6 @@
 #include "pregel/master.h"
 #include "pregel/message_store.h"
 #include "pregel/phase.h"
-#include "pregel/transport.h"
 #include "pregel/vertex.h"
 
 namespace graft {
@@ -131,30 +130,6 @@ class Engine {
     /// server's /jobs/<id>/report advances while the job runs. Application
     /// code configures this through JobSpec::telemetry.
     obs::JobEntry* telemetry = nullptr;
-    /// Cross-worker transport boundary (DESIGN.md §15). Null or an in-proc
-    /// transport keeps today's shared-memory paths untouched. A
-    /// multi-process (socket) transport makes Run() fork one worker process
-    /// per partition after setup and drive the frame protocol implemented
-    /// in engine_multiproc.h. Not owned; must outlive the engine.
-    Transport* transport = nullptr;
-    /// Debug-layer callbacks for multi-process runs. The engine cannot name
-    /// debug:: types, so JobRunner injects the fork-time proxy flip, the
-    /// leader-side application of forwarded store frames, and the capture
-    /// sideband codec as type-erased functions. All optional.
-    struct MultiProcessHooks {
-      /// Every process, immediately after fork (leader included, rank 0).
-      std::function<void(int rank, int num_workers)> on_forked;
-      /// Leader: apply one forwarded kStoreAppend payload to the real store.
-      std::function<Status(const std::string&)> apply_store_append;
-      /// Leader: apply one forwarded kStoreFlush payload.
-      std::function<Status(const std::string&)> apply_store_flush;
-      /// Worker process: serialize capture counters/manifest entries accrued
-      /// since the previous call (the sideband delta).
-      std::function<std::string()> collect_sideband;
-      /// Leader: fold one worker process's sideband delta.
-      std::function<Status(int rank, const std::string&)> merge_sideband;
-    };
-    MultiProcessHooks mp_hooks;
   };
 
   /// Observes superstep boundaries; Graft's capture manager subscribes to
@@ -194,13 +169,7 @@ class Engine {
          MasterFactory master_factory = nullptr)
       : options_(std::move(options)),
         computation_factory_(std::move(computation_factory)),
-        // Multi-process runs fork after setup: the pool must hold zero
-        // background threads at fork time (each process computes exactly one
-        // partition on the calling thread), so it collapses to caller-only.
-        pool_(options_.transport != nullptr &&
-                      options_.transport->multi_process()
-                  ? 1
-                  : options_.num_workers) {
+        pool_(options_.num_workers) {
     GRAFT_CHECK(options_.num_workers >= 1);
     GRAFT_CHECK(computation_factory_ != nullptr);
     if (master_factory) master_ = master_factory();
@@ -446,11 +415,6 @@ class Engine {
 
   // ---- Superstep-loop phases (engine_superstep.h) -----------------------
 
-  /// The superstep loop proper. Run() wraps it so multi-process child
-  /// processes can funnel EVERY return path (clean stop, abort, error) into
-  /// MpChildExit — a forked worker never returns into JobRunner.
-  Result<JobStats> RunLoop();
-
   /// Routes one batch of staged messages from `sender`'s compute thread into
   /// the message store, in send order (see engine_superstep.h).
   void FlushSends(int sender, std::vector<StagedSend>* batch);
@@ -524,60 +488,6 @@ class Engine {
   void FinalizeStats(JobStats* stats, const Stopwatch& clock);
   void RecordSuperstepMetrics(const obs::SuperstepProfile& prof,
                               const SuperstepStats& ss);
-
-  // ---- Multi-process protocol (engine_multiproc.h) ----------------------
-  //
-  // SPMD over fork: every process (leader = rank 0 plus one forked worker
-  // process per remaining partition) runs the same Run() loop over a full
-  // replica of the graph, but computes only its own partition. One frame
-  // exchange per superstep re-synchronizes the replicas; see
-  // engine_multiproc.h for the protocol.
-
-  bool MpActive() const { return mp_ != nullptr; }
-  bool MpLeader() const;
-  bool MpChild() const;
-  int MpRank() const;
-
-  /// Forks the worker-process cohort (multi-process transports only; no-op
-  /// otherwise). Returns in every process.
-  Status MpSetup();
-
-  /// The per-superstep exchange, called after local compute and before the
-  /// abort/error checks. On return every process has identical send logs
-  /// replayed, remote contexts' mutations/partials filled, counters synced,
-  /// and any abort/compute-error adopted. Child processes do not return
-  /// when the leader broadcast an abort verdict — they finish the protocol
-  /// and _exit.
-  Status MpExchange(std::vector<WorkerCtx>& contexts, SuperstepStats* ss,
-                    obs::SuperstepProfile* prof);
-
-  /// Checkpoint-barrier synchronization: the leader drains every worker
-  /// process's forwarded part appends plus its capture sideband, then
-  /// commits; children ship and continue.
-  Status MpCheckpointBarrier(int64_t superstep);
-
-  /// Termination barrier: children ship their final sideband plus (on a
-  /// clean stop) their partition's vertex values/halt flags, await
-  /// kShutdown, and _exit; the leader folds all of it in and reaps the
-  /// cohort. `clean` is false on the compute-error path.
-  Status MpOnTerminate(bool clean);
-
-  /// Leader-side fault sweep at compute start: consumes kWorkerCompute
-  /// injector hits for remote ranks by SIGKILLing the worker process — the
-  /// failure then surfaces through the real heartbeat/death detection.
-  void MpInjectWorkerFaults();
-
-  [[noreturn]] void MpChildExit(const Status& status, bool ship_state);
-  Status MpAdoptWorkerFinal(int rank, const std::string& payload);
-  std::string MpEncodeLocalBlob(std::vector<WorkerCtx>& contexts,
-                                const obs::SuperstepProfile& prof);
-  Status MpApplyBlobs(std::vector<std::string>& blobs,
-                      std::vector<WorkerCtx>& contexts, SuperstepStats* ss,
-                      obs::SuperstepProfile* prof);
-  Status MpApplyStoreFrame(uint8_t kind, const std::string& payload);
-  Status MpRecvFromWorker(int rank, uint8_t* kind, std::string* payload);
-  std::string MpEncodeState() const;
-  Status MpApplyState(int rank, std::string_view payload);
 
   // ---- Checkpoint / restore / confined recovery (engine_checkpoint.h) ---
 
@@ -666,19 +576,6 @@ class Engine {
   uint64_t confined_replayed_vertices_ = 0;
   std::vector<obs::RecoveryEvent> confined_events_;
 
-  // Multi-process (socket transport) state. `mp_` is non-null only between
-  // MpSetup() and run end; `mp_logging_` diverts FlushSends into the raw
-  // send log during compute (the log is exchanged and replayed so every
-  // replica routes every rank's sends identically — see engine_multiproc.h).
-  SocketTransport* mp_ = nullptr;
-  bool mp_logging_ = false;
-  std::vector<StagedSend> mp_send_log_;
-  std::vector<int64_t> mp_injected_kill_;  // per rank: superstep of the kill
-  // Own partition's halted flags at compute start: the blob ships the net
-  // vote-to-halt toggles so every replica keeps remote halted flags (and
-  // hence the awake bookkeeping of future vertex removals) exact.
-  std::vector<uint8_t> mp_halted_before_;
-
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Histogram* hist_compute_ = nullptr;
@@ -712,6 +609,5 @@ class Engine {
 #include "pregel/engine_contexts.h"    // IWYU pragma: keep
 #include "pregel/engine_superstep.h"   // IWYU pragma: keep
 #include "pregel/engine_checkpoint.h"  // IWYU pragma: keep
-#include "pregel/engine_multiproc.h"   // IWYU pragma: keep
 
 #endif  // GRAFT_PREGEL_ENGINE_H_

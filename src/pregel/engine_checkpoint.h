@@ -156,28 +156,14 @@ Status Engine<Traits>::WriteCheckpoint(int64_t superstep, uint64_t delivered,
                         -1, superstep);
   TraceStore& store = *options_.checkpoint.store;
   const bool delta = options_.checkpoint.delta();
-  // Multi-process runs shard the write: every process appends exactly its
-  // own partition's part (a worker process's append travels through the
-  // forwarding store), the leader adds the meta and commits only after the
-  // MpCheckpointBarrier drained every forwarded part. Socket transports are
-  // full-mode only (enforced by RunJob), so the delta machinery never runs
-  // here in mp mode.
-  GRAFT_CHECK(!(MpActive() && delta))
-      << "delta checkpoints are not supported on a multi-process transport";
-  if (!MpChild()) {
-    // The leader's delete is applied before any forwarded part (children's
-    // appends are only applied at the barrier drain), so it cannot clobber
-    // them despite racing in wall-clock time.
-    GRAFT_RETURN_NOT_OK(
-        store.DeletePrefix(CheckpointDir(options_.job_id, superstep)));
-  }
+  GRAFT_RETURN_NOT_OK(
+      store.DeletePrefix(CheckpointDir(options_.job_id, superstep)));
   uint64_t bytes = 0;
   if (delta) {
     GRAFT_RETURN_NOT_OK(WriteTopologyEpochIfChanged());
   }
   BinaryWriter scratch;
   for (int part = 0; part < options_.num_workers; ++part) {
-    if (MpActive() && part != MpRank()) continue;  // one part per process
     Partition& p = partitions_[static_cast<size_t>(part)];
     if (delta && !p.dirty) continue;  // header-only delta
     BinaryWriter w;
@@ -211,11 +197,6 @@ Status Engine<Traits>::WriteCheckpoint(int64_t superstep, uint64_t delivered,
     part_base_superstep_[static_cast<size_t>(part)] = superstep;
     p.dirty = false;
   }
-  if (MpChild()) {
-    // Meta, commit, and accounting are the leader's job.
-    span.End(bytes);
-    return Status::OK();
-  }
   CheckpointMeta meta;
   meta.superstep = superstep;
   meta.num_partitions = options_.num_workers;
@@ -242,9 +223,7 @@ Status Engine<Traits>::WriteCheckpoint(int64_t superstep, uint64_t delivered,
   pending_checkpoint_bytes_ = bytes;
   pending_checkpoint_seconds_ = clock.ElapsedSeconds();
   span.End(bytes);
-  // Multi-process leader: the commit must wait for MpCheckpointBarrier to
-  // drain every worker process's forwarded part first.
-  if (!options_.checkpoint.async_parts && !MpActive()) {
+  if (!options_.checkpoint.async_parts) {
     return FinishPendingCheckpoint();
   }
   return Status::OK();

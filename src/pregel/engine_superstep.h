@@ -13,26 +13,6 @@ namespace pregel {
 
 template <JobTraits Traits>
 Result<JobStats> Engine<Traits>::Run() {
-  Result<JobStats> result = RunLoop();
-  if (MpActive()) {
-    if (MpChild()) {
-      // A forked worker process never returns into JobRunner: every exit
-      // path (clean stop, abort, compute error) funnels into the final
-      // frame handshake and _exit.
-      MpChildExit(result.ok() ? Status::OK() : result.status(),
-                  /*ship_state=*/result.ok());
-    }
-    // Leader error paths can leave live children (a termination barrier
-    // never ran); tear the cohort down so a recovery attempt can re-fork.
-    if (mp_->forked()) (void)mp_->ShutdownWorkers();
-    mp_ = nullptr;
-    mp_logging_ = false;
-  }
-  return result;
-}
-
-template <JobTraits Traits>
-Result<JobStats> Engine<Traits>::RunLoop() {
   Stopwatch total_clock;
   JobStats stats;
   stats.report.job_id = options_.job_id;
@@ -62,14 +42,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
     GRAFT_RETURN_NOT_OK(WriteCheckpoint(0, 0, 0, stats));
     GRAFT_RETURN_NOT_OK(FinishPendingCheckpoint());
     for (auto* obs : observers_) obs->OnCheckpoint(0);
-  }
-
-  // Multi-process transports fork HERE: everything above (input load,
-  // restore, checkpoint 0) ran once; from this point every process executes
-  // the same loop over its inherited full replica, computing only its own
-  // partition (engine_multiproc.h).
-  if (options_.transport != nullptr && options_.transport->multi_process()) {
-    GRAFT_RETURN_NOT_OK(MpSetup());
   }
 
   std::vector<WorkerCtx> contexts;
@@ -147,15 +119,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
       GRAFT_RETURN_NOT_OK(
           WriteCheckpoint(superstep_, delivered, ss.messages_dropped,
                           stats));
-      if (MpActive()) {
-        // Leader: drain every worker process's forwarded part appends,
-        // then commit. Children ship their part and continue.
-        Status synced = MpCheckpointBarrier(superstep_);
-        if (!synced.ok()) {
-          RequestAbort(std::move(synced));
-          return TakeAbortStatus();
-        }
-      }
       for (auto* obs : observers_) obs->OnCheckpoint(superstep_);
     }
 
@@ -183,14 +146,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
       return TakeAbortStatus();
     }
     if (master_halted_) {
-      // Replicated master compute: every process reaches this decision at
-      // the same superstep, so no stop signal is needed — just the final
-      // state/sideband barrier.
-      Status ended = MpOnTerminate(/*clean=*/true);
-      if (!ended.ok()) {
-        RequestAbort(std::move(ended));
-        return TakeAbortStatus();
-      }
       stats.termination = TerminationReason::kMasterHalted;
       stats.total_messages_dropped += ss.messages_dropped;
       RecordPartialSuperstep(&stats, &ss, &prof, superstep_clock);
@@ -203,13 +158,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
     //    toggle them, and delivery already knows whether any message
     //    landed in an inbox.
     if (!AnyVertexActive(delivered)) {
-      // Delivered counts and awake counters are replica-synced, so every
-      // process terminates here together.
-      Status ended = MpOnTerminate(/*clean=*/true);
-      if (!ended.ok()) {
-        RequestAbort(std::move(ended));
-        return TakeAbortStatus();
-      }
       stats.termination = TerminationReason::kAllHalted;
       stats.total_messages_dropped += ss.messages_dropped;
       RecordPartialSuperstep(&stats, &ss, &prof, superstep_clock);
@@ -256,27 +204,11 @@ Result<JobStats> Engine<Traits>::RunLoop() {
       obs::JournalSpan span(options_.journal, "compute", "engine", -1,
                             superstep_);
       Stopwatch clock;
-      if (MpActive()) {
-        // Every replica computes exactly its own partition on the calling
-        // thread; remote results arrive through the exchange below. The
-        // leader first converts any injected remote worker-crash into a
-        // real SIGKILL so the failure travels the true detection path.
-        MpInjectWorkerFaults();
-        const size_t self = static_cast<size_t>(MpRank());
-        const Partition& own = partitions_[self];
-        mp_halted_before_.assign(own.vertices.size(), 0);
-        for (size_t i = 0; i < own.vertices.size(); ++i) {
-          mp_halted_before_[i] = own.vertices[i].halted() ? 1 : 0;
-        }
-        RunWorker(&contexts[self], computations[self].get(), &ss,
-                  &prof.workers[self]);
-      } else {
-        pool_.Run([&](int w) {
-          RunWorker(&contexts[static_cast<size_t>(w)],
-                    computations[static_cast<size_t>(w)].get(), &ss,
-                    &prof.workers[static_cast<size_t>(w)]);
-        });
-      }
+      pool_.Run([&](int w) {
+        RunWorker(&contexts[static_cast<size_t>(w)],
+                  computations[static_cast<size_t>(w)].get(), &ss,
+                  &prof.workers[static_cast<size_t>(w)]);
+      });
       prof.compute_wall_seconds = clock.ElapsedSeconds();
     }
     // A worker's barrier wait is the time it idled for the slowest peer in
@@ -286,14 +218,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
           std::max(0.0, prof.compute_wall_seconds - wp.compute_seconds) +
           std::max(0.0, prof.delivery_wall_seconds - wp.delivery_seconds);
     }
-    // The multi-process superstep barrier: every replica ships its send
-    // log / mutations / partials / counters and folds everyone else's, in
-    // rank order — including any remote abort or compute error, so the
-    // checks below fire identically in every process.
-    if (MpActive()) {
-      Status exchanged = MpExchange(contexts, &ss, &prof);
-      if (!exchanged.ok()) RequestAbort(std::move(exchanged));
-    }
     // Infrastructure aborts (injected fault, capture I/O failure) outrank
     // compute errors: they carry the retryable status class JobRunner
     // keys its recovery loop on.
@@ -301,9 +225,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
       return TakeAbortStatus();
     }
     if (compute_error_.has_value()) {
-      // Best-effort cohort teardown — the error verdict already replicated
-      // through the exchange, so every process is on this path.
-      (void)MpOnTerminate(/*clean=*/false);
       stats.termination = TerminationReason::kComputeError;
       FinalizeStats(&stats, total_clock);
       ss.seconds = superstep_clock.ElapsedSeconds();
@@ -345,15 +266,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
     PublishProgress(stats, total_clock);
     for (auto* obs : observers_) obs->OnSuperstepEnd(superstep_, ss);
   }
-  {
-    // The superstep cap is part of the replicated loop condition, so the
-    // whole cohort falls out of the loop together.
-    Status ended = MpOnTerminate(/*clean=*/true);
-    if (!ended.ok()) {
-      RequestAbort(std::move(ended));
-      return TakeAbortStatus();
-    }
-  }
   stats.termination = TerminationReason::kMaxSupersteps;
   FinalizeStats(&stats, total_clock);
   return stats;
@@ -376,18 +288,6 @@ Result<JobStats> Engine<Traits>::RunLoop() {
 /// once instead of one serialized pair per send.
 template <JobTraits Traits>
 void Engine<Traits>::FlushSends(int sender, std::vector<StagedSend>* batch) {
-  if (mp_logging_) {
-    // Multi-process compute: sends are not routed at send time. The raw
-    // log (in true send order) is exchanged at the superstep barrier and
-    // replayed through this same function by every replica, in rank order
-    // — identical classification because the index is stable during
-    // compute (mutations are buffered until the next superstep).
-    mp_send_log_.insert(mp_send_log_.end(),
-                        std::make_move_iterator(batch->begin()),
-                        std::make_move_iterator(batch->end()));
-    batch->clear();
-    return;
-  }
   const size_t n = batch->size();
   std::array<uint64_t, kSendBatch> hash;
   std::array<uint32_t, kSendBatch> dest;
@@ -575,26 +475,7 @@ uint64_t Engine<Traits>::DeliverMessages(SuperstepStats* ss,
     prof->workers[part].delivery_seconds = clock.ElapsedSeconds();
     span.End(per_worker[part].delivered);
   };
-  if (MpActive()) {
-    // Replicated delivery: every replica routes EVERY rank's replayed
-    // sends through every partition — identical missing-vertex creation,
-    // identical delivered/dropped totals, no delivery exchange needed.
-    // Serial because the pool holds no threads in a forked process.
-    for (int w = 0; w < options_.num_workers; ++w) deliver(w);
-    // Only the own partition's inboxes are consumed by compute; drop the
-    // remote replicas' contents so they do not accumulate across
-    // supersteps. (The own partition — the only one checkpointed by this
-    // process — keeps its inbox intact for the boundary snapshot.)
-    for (int w = 0; w < options_.num_workers; ++w) {
-      if (w == MpRank()) continue;
-      const Partition& p = partitions_[static_cast<size_t>(w)];
-      for (size_t i = 0; i < p.vertices.size(); ++i) {
-        msg_store_.ClearInbox(static_cast<size_t>(w), i);
-      }
-    }
-  } else {
-    pool_.Run(deliver);
-  }
+  pool_.Run(deliver);
   uint64_t delivered = 0;
   uint64_t dropped = 0;
   for (const Stats& s : per_worker) {

@@ -21,7 +21,6 @@
 #include "debug/debug_config.h"
 #include "debug/instrumented_computation.h"
 #include "io/fault_injecting_trace_store.h"
-#include "io/forwarding_trace_store.h"
 #include "io/trace_block_cache.h"
 #include "io/trace_sink.h"
 #include "io/trace_store.h"
@@ -30,7 +29,6 @@
 #include "obs/run_report.h"
 #include "pregel/checkpoint.h"
 #include "pregel/engine.h"
-#include "pregel/socket_transport.h"
 #include "pregel/transport.h"
 
 namespace graft {
@@ -38,9 +36,7 @@ namespace pregel {
 
 /// Everything that defines one job run, in one named-field struct — the
 /// single configuration surface for plain runs, debugged (Graft) runs, and
-/// checkpointed/fault-injected runs (ISSUE 3: no loose positional config).
-/// DESIGN.md documents the mapping from the old positional RunWithGraft
-/// parameters onto these fields.
+/// checkpointed/fault-injected runs.
 template <JobTraits Traits>
 struct JobSpec {
   /// Engine-level knobs (workers, seed, combiner, job_id, metrics...). The
@@ -122,16 +118,8 @@ struct JobSpec {
   };
   TelemetryOptions telemetry;
 
-  /// Execution backend (DESIGN.md §15): in-process threads (the default,
-  /// zero-cost) or multi-process sharding over the socket transport.
-  /// `transport.kind = kDefault` resolves the GRAFT_TRANSPORT environment
-  /// variable, so whole test suites re-run against the socket backend
-  /// without code changes. In socket mode `transport.worker_processes > 0`
-  /// overrides `options.num_workers` (one OS process per partition, the
-  /// leader included). Specs that require shared memory — delta
-  /// checkpointing, the BSP sanitizer — reject an explicit socket request
-  /// and demote an environment-resolved one back to in-process with a
-  /// warning.
+  /// Execution backend (DESIGN.md §15). In-process threads are the only
+  /// backend; the field names it so specs and reports stay explicit.
   TransportOptions transport;
 
   /// Invoked with the engine before/after each attempt's Run() — the hook
@@ -169,7 +157,7 @@ struct JobRunSummary {
 };
 
 /// Runs a JobSpec to completion — the one code path behind Engine-style
-/// plain runs, debug::RunWithGraft, and checkpoint recovery:
+/// plain runs, debugged runs, and checkpoint recovery:
 ///
 ///   1. wraps the user computation with the Graft Instrumenter when a
 ///      DebugConfig is present, and the stores with fault decorators when an
@@ -216,45 +204,6 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
     return Status::InvalidArgument(
         "JobSpec.checkpoint.interval > 0 requires a checkpoint store "
         "(checkpoint.store or trace_store)");
-  }
-
-  // Transport resolution (DESIGN.md §15). Two spec features depend on
-  // shared memory and cannot cross the fork: delta checkpointing (outbox
-  // logs replay against live partition state, and confined recovery
-  // rebuilds a partition in place) and the BSP sanitizer (its phase clock
-  // and watcher thread-locals are process-wide). An explicit socket
-  // request with either is a spec error; a GRAFT_TRANSPORT-resolved one
-  // demotes to in-process with a warning so an env-driven test matrix can
-  // still run every suite.
-  TransportKind transport_kind = ResolveTransportKind(spec.transport.kind);
-  if (transport_kind == TransportKind::kSocket) {
-    const char* blocker = nullptr;
-    if (ckpt.enabled() && ckpt.delta()) blocker = "delta checkpointing";
-    if (spec.sanitizer.enabled) blocker = "the BSP sanitizer";
-    if (blocker != nullptr) {
-      if (spec.transport.kind == TransportKind::kSocket) {
-        return Status::InvalidArgument(
-            std::string("JobSpec.transport: the socket backend does not "
-                        "support ") +
-            blocker + " (requires shared memory)");
-      }
-      GRAFT_LOG(Warning) << "GRAFT_TRANSPORT=socket demoted to in-process: "
-                         << blocker << " requires shared memory";
-      transport_kind = TransportKind::kInProc;
-    }
-  }
-  TransportOptions transport_options = spec.transport;
-  transport_options.kind = transport_kind;
-  if (transport_kind == TransportKind::kSocket) {
-    if (transport_options.worker_processes > 0) {
-      spec.options.num_workers = transport_options.worker_processes;
-    }
-    // Worker processes forward their store writes through the leader's
-    // frame drain; a background flusher thread on either side would
-    // reorder them (and fork() with live threads is undefined enough).
-    // Both async paths collapse to their synchronous equivalents.
-    spec.capture_io.async = false;
-    ckpt.async_parts = false;
   }
 
   // Telemetry plane: resolve the event journal (external sink or job-owned)
@@ -304,27 +253,6 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
     } else {
       faulty_ckpt.emplace(ckpt.store, spec.fault_injector);
       ckpt.store = &*faulty_ckpt;
-    }
-  }
-
-  // Socket mode: interpose the forwarding boundary between the engine and
-  // the stores. In the leader these are transparent pass-throughs; in a
-  // forked worker the on_forked hook flips them so every Append/Flush is
-  // shipped to the leader as a frame. Wrapped AROUND the fault decorators,
-  // so an injected store fault fires exactly once — leader-side, when the
-  // forwarded write is applied — matching the in-process failure surface.
-  std::optional<ForwardingTraceStore> fwd_traces;
-  std::optional<ForwardingTraceStore> fwd_ckpt;
-  if (transport_kind == TransportKind::kSocket) {
-    if (trace_store != nullptr) {
-      fwd_traces.emplace(/*store_id=*/1, trace_store);
-      if (ckpt.store == trace_store) ckpt.store = &*fwd_traces;
-      trace_store = &*fwd_traces;
-    }
-    if (ckpt.store != nullptr &&
-        (!fwd_traces || ckpt.store != &*fwd_traces)) {
-      fwd_ckpt.emplace(/*store_id=*/2, ckpt.store);
-      ckpt.store = &*fwd_ckpt;
     }
   }
 
@@ -459,78 +387,6 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
   // wrappers must not re-record supersteps that already have traces.
   options.replay_computation = spec.computation;
 
-  // Execution backend. The transport object outlives every attempt: the
-  // socket transport re-forks a fresh worker cohort per attempt, so
-  // recovery-from-checkpoint works identically across backends.
-  GRAFT_ASSIGN_OR_RETURN(std::unique_ptr<Transport> transport,
-                         MakeTransport(transport_options));
-  options.transport = transport.get();
-  if (transport->multi_process()) {
-    SocketTransport* sock = transport->socket();
-    ForwardingTraceStore* fwd1 = fwd_traces ? &*fwd_traces : nullptr;
-    ForwardingTraceStore* fwd2 = fwd_ckpt ? &*fwd_ckpt : nullptr;
-    debug::CaptureManager<Traits>* mgr = manager ? &*manager : nullptr;
-    // Child side, once, right after fork: flip the store proxies into
-    // forwarding mode and start tracking capture sideband so counter
-    // deltas ride the superstep exchange back to the leader.
-    options.mp_hooks.on_forked = [sock, fwd1, fwd2, mgr](int rank,
-                                                         int num_workers) {
-      (void)num_workers;
-      if (rank == 0) return;
-      auto send_append = [sock](std::string payload) {
-        return sock->SendLeader(FrameKind::kStoreAppend, payload);
-      };
-      auto send_flush = [sock](std::string payload) {
-        return sock->SendLeader(FrameKind::kStoreFlush, payload);
-      };
-      if (fwd1 != nullptr) fwd1->BeginForwarding(send_append, send_flush);
-      if (fwd2 != nullptr) fwd2->BeginForwarding(send_append, send_flush);
-      if (mgr != nullptr) mgr->BeginSidebandTracking();
-    };
-    // Leader side: decode a forwarded store write and route it to the
-    // proxy that owns the frame's store id (1 = traces, 2 = checkpoint
-    // store when distinct). The leader proxy passes through to the real
-    // (possibly fault-decorated) store.
-    auto route = [fwd1, fwd2](uint32_t store_id) -> ForwardingTraceStore* {
-      if (fwd1 != nullptr && store_id == fwd1->forward_store_id()) {
-        return fwd1;
-      }
-      if (fwd2 != nullptr && store_id == fwd2->forward_store_id()) {
-        return fwd2;
-      }
-      return nullptr;
-    };
-    options.mp_hooks.apply_store_append =
-        [route](const std::string& payload) -> Status {
-      GRAFT_ASSIGN_OR_RETURN(ForwardingTraceStore::ForwardedAppend fwd,
-                             ForwardingTraceStore::DecodeAppend(payload));
-      ForwardingTraceStore* target = route(fwd.store_id);
-      if (target == nullptr) {
-        return Status::Internal("forwarded append for unknown store id " +
-                                std::to_string(fwd.store_id));
-      }
-      return target->Append(fwd.file, fwd.record);
-    };
-    options.mp_hooks.apply_store_flush =
-        [route](const std::string& payload) -> Status {
-      GRAFT_ASSIGN_OR_RETURN(uint32_t store_id,
-                             ForwardingTraceStore::DecodeFlush(payload));
-      ForwardingTraceStore* target = route(store_id);
-      if (target == nullptr) {
-        return Status::Internal("forwarded flush for unknown store id " +
-                                std::to_string(store_id));
-      }
-      return target->Flush();
-    };
-    options.mp_hooks.collect_sideband = [mgr]() {
-      return mgr != nullptr ? mgr->TakeSidebandDelta() : std::string();
-    };
-    options.mp_hooks.merge_sideband =
-        [mgr](int rank, const std::string& delta) -> Status {
-      (void)rank;
-      return mgr != nullptr ? mgr->MergeSidebandDelta(delta) : Status::OK();
-    };
-  }
   const std::string job_id = options.job_id;
   const int max_attempts = std::max(0, spec.max_recovery_attempts);
 
@@ -690,11 +546,6 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
     last_failure = stats.status();
     if (last_failure.IsUnavailable() && options.checkpoint.enabled() &&
         attempt < max_attempts) {
-      if (transport->multi_process()) {
-        // The engine's exit path already shut the cohort down; make
-        // certain no orphan survives before the next attempt re-forks.
-        transport->socket()->KillWorkers();
-      }
       continue;  // retry from the latest committed checkpoint
     }
     summary.job_status = last_failure;
@@ -716,17 +567,7 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
   }
   summary.recoveries = std::move(recoveries);
 
-  // Backend attribution in the report: which transport ran the job, how
-  // many OS processes it spanned, and (socket) the frame traffic moved.
-  summary.stats.report.transport = transport->name();
-  summary.stats.report.worker_processes =
-      transport->multi_process() ? options.num_workers : 1;
-  if (transport->multi_process()) {
-    summary.stats.report.transport_bytes_sent =
-        transport->socket()->bytes_sent();
-    summary.stats.report.transport_bytes_received =
-        transport->socket()->bytes_received();
-  }
+  summary.stats.report.transport = TransportKindName(spec.transport.kind);
 
   if (manager) {
     summary.captures = manager->num_captures();

@@ -1,87 +1,29 @@
 #ifndef GRAFT_PREGEL_TRANSPORT_H_
 #define GRAFT_PREGEL_TRANSPORT_H_
 
-#include <memory>
-#include <string>
-
-#include "common/result.h"
-#include "common/status.h"
-
 namespace graft {
 namespace pregel {
 
-class SocketTransport;
-
 /// Which backend carries the engine's cross-worker traffic (DESIGN.md §15).
+/// Thread-sharded partitions in one process — the lock-free
+/// WorkerPool/MessageStore paths — are the only backend.
 enum class TransportKind {
-  /// Resolve from the GRAFT_TRANSPORT environment variable ("inproc" |
-  /// "socket"), defaulting to in-process. This is the JobSpec default, so
-  /// CI can sweep the whole determinism/fault matrix over both backends
-  /// without touching any test.
-  kDefault = 0,
-  /// Thread-sharded partitions in one process — the lock-free
-  /// WorkerPool/MessageStore paths, unchanged and zero-cost.
-  kInProc = 1,
-  /// One OS process per partition: rank 0 (the leader) forks workers and
-  /// exchanges length-prefixed binary frames with them over loopback
-  /// sockets (common/wire).
-  kSocket = 2,
+  kInProc,
 };
 
-/// Transport knobs on a JobSpec. `worker_processes` only matters for the
-/// socket backend: 0 keeps the spec's partition count, a positive value
-/// overrides it (one partition per worker process).
+/// Transport knobs on a JobSpec.
 struct TransportOptions {
-  TransportKind kind = TransportKind::kDefault;
-  int worker_processes = 0;
-  /// Liveness-probe period: how long the leader waits at a protocol point
-  /// before polling worker processes for silent death, and how often a
-  /// blocked worker re-checks its leader socket.
-  int heartbeat_ms = 1000;
-  /// Carry frames over loopback TCP instead of AF_UNIX socket pairs.
-  bool tcp = false;
+  TransportKind kind = TransportKind::kInProc;
 };
 
-const char* TransportKindName(TransportKind kind);
-
-/// Resolves kDefault against the GRAFT_TRANSPORT environment variable.
-/// Unknown values resolve to kInProc.
-TransportKind ResolveTransportKind(TransportKind requested);
-
-/// The engine's boundary for cross-worker paths — message delivery, the
-/// BSP barrier, aggregator merge, checkpoint commit, and progress
-/// publishing. The in-process backend is a pure marker: the engine keeps
-/// running its historical lock-free paths (verified zero-cost — the
-/// backend adds no virtual call to any hot loop). The socket backend
-/// carries the multi-process state (channels, worker pids, forwarded
-/// stores) that Engine::RunMultiProcess drives.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// True when Run() must execute the multi-process protocol instead of
-  /// the in-process superstep loop.
-  virtual bool multi_process() const = 0;
-
-  virtual const char* name() const = 0;
-
-  /// The socket backend's machinery; null for in-process transports.
-  virtual SocketTransport* socket() { return nullptr; }
-};
-
-/// Today's engine, behind the boundary: nothing to set up, nothing to
-/// tear down, and Run() never branches into the protocol code.
-class InProcTransport final : public Transport {
- public:
-  bool multi_process() const override { return false; }
-  const char* name() const override { return "inproc"; }
-};
-
-/// Builds the backend for `options` (with kDefault resolved from the
-/// environment). kInvalidArgument for nonsensical combinations (e.g.
-/// worker_processes < 0).
-Result<std::unique_ptr<Transport>> MakeTransport(
-    const TransportOptions& options);
+/// The backend's name as the run report and the HTTP API spell it.
+inline const char* TransportKindName(TransportKind kind) {
+  switch (kind) {
+    case TransportKind::kInProc:
+      return "inproc";
+  }
+  return "unknown";
+}
 
 }  // namespace pregel
 }  // namespace graft

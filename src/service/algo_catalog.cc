@@ -52,12 +52,6 @@ Status RunWithCapture(const JobRequest& request, const RunEnv& env,
   spec.trace_store = env.store;
   spec.sanitizer.enabled = request.sanitizer;
   spec.checkpoint.interval = request.checkpoint_interval;
-  spec.transport.kind = request.transport == "socket"
-                            ? pregel::TransportKind::kSocket
-                        : request.transport == "inproc"
-                            ? pregel::TransportKind::kInProc
-                            : pregel::TransportKind::kDefault;
-  spec.transport.worker_processes = request.worker_processes;
   spec.telemetry.journal = request.journal;
   spec.telemetry.publish = true;
   spec.telemetry.registry = env.registry;

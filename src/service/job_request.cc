@@ -169,20 +169,14 @@ Result<JobRequest> ParseJobRequest(const JsonValue& body, uint64_t sequence) {
     return Status::InvalidArgument("checkpoint_interval must be >= 0");
   }
   GRAFT_ASSIGN_OR_RETURN(out.journal, body.GetBool("journal", out.journal));
-  GRAFT_ASSIGN_OR_RETURN(out.transport,
-                         body.GetString("transport", out.transport));
-  if (out.transport != "default" && out.transport != "inproc" &&
-      out.transport != "socket") {
-    return Status::InvalidArgument("unknown transport \"" + out.transport +
-                                   "\" (default | inproc | socket)");
+  // In-process is the only backend (DESIGN.md §15); the member is accepted
+  // so clients can name it explicitly.
+  GRAFT_ASSIGN_OR_RETURN(std::string transport,
+                         body.GetString("transport", "inproc"));
+  if (transport != "inproc") {
+    return Status::InvalidArgument("unknown transport \"" + transport +
+                                   "\" (want inproc)");
   }
-  GRAFT_ASSIGN_OR_RETURN(
-      int64_t worker_processes,
-      body.GetInt("worker_processes", out.worker_processes));
-  if (worker_processes < 0 || worker_processes > 64) {
-    return Status::InvalidArgument("worker_processes must be in [0, 64]");
-  }
-  out.worker_processes = static_cast<int>(worker_processes);
   return out;
 }
 

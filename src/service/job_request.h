@@ -37,8 +37,7 @@ namespace service {
 ///     "sanitizer": false,
 ///     "checkpoint_interval": 0,
 ///     "journal": true,
-///     "transport": "socket",                 // default | inproc | socket
-///     "worker_processes": 4                  // socket only; 0 = workers
+///     "transport": "inproc"                  // the only backend
 ///   }
 struct JobRequest {
   std::string algo;
@@ -75,12 +74,6 @@ struct JobRequest {
   bool sanitizer = false;
   int64_t checkpoint_interval = 0;
   bool journal = true;
-  /// Execution backend: "default" (GRAFT_TRANSPORT env), "inproc", or
-  /// "socket" (multi-process sharding, DESIGN.md §15).
-  std::string transport = "default";
-  /// Socket backend only: OS process count (leader included); 0 keeps the
-  /// engine's worker count.
-  int worker_processes = 0;
 };
 
 /// Parses and validates one POST /jobs body. Unknown algos, unknown

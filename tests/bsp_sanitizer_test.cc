@@ -15,6 +15,7 @@
 #include "analysis/finding.h"
 #include "analysis/finding_log.h"
 #include "analysis/sanitizer.h"
+#include "common/logging.h"
 #include "debug/debug_config.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
@@ -315,6 +316,84 @@ TEST(BspSanitizerTest, ProbesLeaveCapturedTracesByteIdentical) {
   EXPECT_GT(plain.captures, 0u);
   EXPECT_EQ(plain.captures, probed.captures);
   EXPECT_EQ(TraceFilesOf(plain_store), TraceFilesOf(probed_store));
+}
+
+/// Every JobSpec knob composes: the sanitizer, delta checkpoints and async
+/// capture I/O run together with no warning, and the captured traces and
+/// final values match a plain synchronous, uncheckpointed debugged run.
+TEST(BspSanitizerTest, ComposesWithDeltaCheckpointsAndAsyncCapture) {
+  auto graph = graph::MakeUndirected(
+      graph::GenerateErdosRenyi(80, 240, /*seed=*/5));
+  debug::ConfigurableDebugConfig<algos::PageRankTraits> config;
+  config.set_capture_all_active(true);
+
+  struct Run {
+    pregel::JobRunSummary summary;
+    std::map<VertexId, double> ranks;
+  };
+  auto run = [&](bool all_knobs, InMemoryTraceStore* traces,
+                 InMemoryTraceStore* ckpts) {
+    pregel::JobSpec<algos::PageRankTraits> spec;
+    spec.options.job_id = "compose";
+    spec.options.num_workers = 3;
+    spec.vertices = pregel::LoadUnweighted<algos::PageRankTraits>(
+        graph, [](VertexId) { return DoubleValue{0.0}; });
+    spec.computation = [] {
+      return std::make_unique<algos::PageRankComputation>(6);
+    };
+    spec.master = []() -> std::unique_ptr<pregel::MasterCompute> {
+      return std::make_unique<algos::PageRankMaster>(6);
+    };
+    spec.debug_config = &config;
+    spec.trace_store = traces;
+    if (all_knobs) {
+      spec.transport.kind = pregel::TransportKind::kInProc;
+      spec.sanitizer.enabled = true;
+      spec.checkpoint.interval = 2;
+      spec.checkpoint.mode = pregel::CheckpointMode::kDelta;
+      spec.checkpoint.store = ckpts;
+      spec.capture_io.async = true;
+    }
+    Run out;
+    spec.post_run = [&](pregel::Engine<algos::PageRankTraits>& engine) {
+      engine.ForEachVertex(
+          [&](const pregel::Vertex<algos::PageRankTraits>& v) {
+            out.ranks[v.id()] = v.value().value;
+          });
+    };
+    auto summary = pregel::RunJob(std::move(spec));
+    GRAFT_CHECK(summary.ok()) << summary.status();
+    out.summary = *std::move(summary);
+    return out;
+  };
+
+  InMemoryTraceStore plain_traces;
+  Run plain = run(false, &plain_traces, nullptr);
+
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  ::testing::internal::CaptureStderr();
+  InMemoryTraceStore traces;
+  InMemoryTraceStore ckpts;
+  Run composed = run(true, &traces, &ckpts);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  SetLogLevel(saved_level);
+
+  ASSERT_TRUE(composed.summary.job_status.ok()) << composed.summary.job_status;
+  EXPECT_EQ(log, "") << "composed knobs logged a warning";
+  const obs::RunReport& report = composed.summary.stats.report;
+  EXPECT_EQ(report.transport, "inproc");
+  EXPECT_TRUE(report.analysis.enabled);
+  EXPECT_EQ(composed.summary.analysis_findings, 0u);
+  EXPECT_TRUE(report.capture.async_sink);
+  EXPECT_GT(report.recovery.checkpoints_written, 1u);
+  EXPECT_GT(report.recovery.topology_bytes, 0u);
+  EXPECT_GT(report.recovery.log_bytes, 0u);
+
+  EXPECT_GT(plain.summary.captures, 0u);
+  EXPECT_EQ(composed.summary.captures, plain.summary.captures);
+  EXPECT_EQ(TraceFilesOf(traces), TraceFilesOf(plain_traces));
+  EXPECT_EQ(composed.ranks, plain.ranks);
 }
 
 /// Disabled sanitizer is inert: no wrapping, no findings, no store writes,

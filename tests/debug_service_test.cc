@@ -129,6 +129,37 @@ TEST_F(DebugServiceTest, SubmitErrorsMapToHttpStatuses) {
   EXPECT_GE(metrics_.GetCounter("service.jobs_rejected_total")->value(), 3u);
 }
 
+TEST_F(DebugServiceTest, TransportAcceptsOnlyInProc) {
+  // In-process is the only backend: naming any other is a 400 envelope and
+  // no job is registered.
+  Response socket = server_->Handle(
+      "POST", "/jobs",
+      "{\"algo\":\"pagerank\",\"job_id\":\"t-socket\","
+      "\"transport\":\"socket\"}");
+  EXPECT_EQ(socket.status, 400) << socket.body;
+  auto envelope = ParseJson(socket.body);
+  ASSERT_TRUE(envelope.ok()) << envelope.status();
+  const JsonValue* error = (*envelope)->Get("error");
+  ASSERT_NE(error, nullptr) << socket.body;
+  EXPECT_EQ(error->Get("status")->AsString(), "InvalidArgument");
+  EXPECT_NE(error->Get("message")->AsString().find("transport"),
+            std::string::npos);
+  EXPECT_EQ(registry_.Find("t-socket"), nullptr);
+
+  Response inproc = server_->Handle(
+      "POST", "/jobs",
+      "{\"algo\":\"pagerank\",\"job_id\":\"t-inproc\","
+      "\"transport\":\"inproc\",\"journal\":false}");
+  ASSERT_EQ(inproc.status, 202) << inproc.body;
+  service_->DrainJobs();
+  auto entry = registry_.Find("t-inproc");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->state(), obs::JobState::kDone);
+  auto report = ParseJson(entry->ReportJson());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ((*report)->Get("transport")->AsString(), "inproc");
+}
+
 TEST_F(DebugServiceTest, RoutingRejectsUnknownPathAndWrongMethod) {
   EXPECT_EQ(server_->Handle("GET", "/jobs/x/debug/bogus").status, 404);
   EXPECT_EQ(server_->Handle("PUT", "/jobs").status, 405);

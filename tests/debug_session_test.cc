@@ -16,7 +16,6 @@
 #include "common/fault_injector.h"
 #include "debug/codegen.h"
 #include "debug/debug_config.h"
-#include "debug/debug_runner.h"
 #include "debug/debug_session.h"
 #include "debug/end_to_end.h"
 #include "debug/reproducer.h"
@@ -308,7 +307,7 @@ void RunPageRankJob(SessionJob* out, const TraceSinkOptions& capture_io = {}) {
   };
   spec.debug_config = &config;
   spec.trace_store = &out->traces;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok()) << summary->job_status;
   out->summary = *std::move(summary);

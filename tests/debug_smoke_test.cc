@@ -4,11 +4,11 @@
 
 #include "algos/connected_components.h"
 #include "algos/graph_coloring.h"
-#include "debug/debug_runner.h"
+#include "debug/debug_session.h"
 #include "debug/reproducer.h"
-#include "debug/trace_reader.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -49,15 +49,18 @@ TEST(DebugSmoke, CaptureSpecifiedVerticesAndReplay) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = debug::RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  debug::DebugRunSummary summary = std::move(summary_or).value();
+  pregel::JobRunSummary summary = std::move(summary_or).value();
   ASSERT_TRUE(summary.job_status.ok()) << summary.job_status;
   EXPECT_GT(summary.captures, 0u);
   EXPECT_GT(summary.trace_bytes, 0u);
 
+  auto session = debug::DebugSession<CCTraits>::Open(&store, "cc-smoke");
+  ASSERT_TRUE(session.ok()) << session.status();
+
   // Superstep 0 must have captured vertices 3, 7 and their ring neighbors.
-  auto traces = debug::ReadVertexTraces<CCTraits>(store, "cc-smoke", 0);
+  auto traces = session->VertexTraces(0);
   ASSERT_TRUE(traces.ok()) << traces.status();
   std::set<VertexId> ids;
   for (const auto& t : traces.value()) ids.insert(t.id);
@@ -65,8 +68,8 @@ TEST(DebugSmoke, CaptureSpecifiedVerticesAndReplay) {
 
   // Replay fidelity on every captured trace, every superstep.
   algos::ConnectedComponentsComputation computation;
-  for (int64_t s : debug::ListCapturedSupersteps(store, "cc-smoke")) {
-    auto step_traces = debug::ReadVertexTraces<CCTraits>(store, "cc-smoke", s);
+  for (int64_t s : session->supersteps()) {
+    auto step_traces = session->VertexTraces(s);
     ASSERT_TRUE(step_traces.ok());
     for (const auto& trace : step_traces.value()) {
       debug::ReplayFidelity fidelity =
@@ -91,15 +94,17 @@ TEST(DebugSmoke, GraphColoringCapturesMasterTraces) {
   spec.master = algos::MakeGraphColoringMasterFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = debug::RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  debug::DebugRunSummary summary = std::move(summary_or).value();
+  pregel::JobRunSummary summary = std::move(summary_or).value();
   ASSERT_TRUE(summary.job_status.ok()) << summary.job_status;
   EXPECT_GT(summary.captures, 0u);
 
-  auto supersteps = debug::ListCapturedSupersteps(store, "gc-smoke");
+  auto session = debug::DebugSession<GCTraits>::Open(&store, "gc-smoke");
+  ASSERT_TRUE(session.ok()) << session.status();
+  const std::vector<int64_t>& supersteps = session->supersteps();
   ASSERT_FALSE(supersteps.empty());
-  auto master0 = debug::ReadMasterTrace(store, "gc-smoke", 0);
+  auto master0 = session->Master(0);
   ASSERT_TRUE(master0.ok()) << master0.status();
   EXPECT_EQ(master0->superstep, 0);
   // The GC master sets the phase aggregator at superstep 0.
@@ -110,7 +115,7 @@ TEST(DebugSmoke, GraphColoringCapturesMasterTraces) {
   // Master replay fidelity across all captured supersteps.
   algos::GraphColoringMaster master;
   for (int64_t s : supersteps) {
-    auto trace = debug::ReadMasterTrace(store, "gc-smoke", s);
+    auto trace = session->Master(s);
     if (!trace.ok()) continue;
     debug::ReplayFidelity fidelity =
         debug::CheckMasterReplayFidelity(trace.value(), master);
@@ -122,7 +127,7 @@ TEST(DebugSmoke, GraphColoringCapturesMasterTraces) {
   // is the deterministic-RNG guarantee at work).
   algos::GraphColoringComputation computation(false);
   for (int64_t s : supersteps) {
-    auto traces = debug::ReadVertexTraces<GCTraits>(store, "gc-smoke", s);
+    auto traces = session->VertexTraces(s);
     ASSERT_TRUE(traces.ok());
     for (const auto& trace : traces.value()) {
       debug::ReplayFidelity fidelity =

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "algos/connected_components.h"
-#include "debug/debug_runner.h"
-#include "debug/trace_reader.h"
+#include "debug/debug_session.h"
 #include "graph/generators.h"
 #include "graph/graph_text.h"
 #include "io/trace_store.h"
 #include "pregel/engine.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -106,7 +106,7 @@ TEST(DebugEdgeCases, CaptureTargetsMissingFromGraphAreIgnored) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   EXPECT_EQ(summary->captures, 0u);
@@ -123,7 +123,7 @@ TEST(DebugEdgeCases, ZeroMaxCapturesCapturesNothing) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   EXPECT_EQ(summary->captures, 0u);
@@ -141,13 +141,11 @@ TEST(DebugEdgeCases, ReadTraceFromWrongSuperstepIsNotFound) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  ASSERT_TRUE(debug::RunWithGraft(std::move(spec)).ok());
-  EXPECT_TRUE(debug::ReadVertexTrace<CCTraits>(store, "wrong-ss", 500, 0)
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(debug::ReadVertexTrace<CCTraits>(store, "wrong-ss", 0, 3)
-                  .status()
-                  .IsNotFound());
+  ASSERT_TRUE(pregel::RunJob(std::move(spec)).ok());
+  auto session = debug::DebugSession<CCTraits>::Open(&store, "wrong-ss");
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_TRUE(session->FindVertexTrace(500, 0).status().IsNotFound());
+  EXPECT_TRUE(session->FindVertexTrace(0, 3).status().IsNotFound());
 }
 
 TEST(GraphTextEdgeCases, NegativeIdsRoundTrip) {

@@ -18,12 +18,12 @@
 #include <vector>
 
 #include "algos/pagerank.h"
+#include "common/json_parser.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
 #include "obs/job_registry.h"
 #include "pregel/job.h"
 #include "pregel/loader.h"
-#include "tiny_json.h"
 
 namespace graft {
 namespace {
@@ -154,12 +154,12 @@ TEST(EventJournalTest, JsonlExportOneValidObjectPerLine) {
   std::string line;
   int parsed = 0;
   while (std::getline(lines, line)) {
-    testjson::ValuePtr v = testjson::ParseJson(line);
-    ASSERT_NE(v, nullptr) << "invalid JSONL line: " << line;
-    ASSERT_TRUE(v->is_object());
-    EXPECT_NE(v->Get("name"), nullptr);
-    EXPECT_NE(v->Get("kind"), nullptr);
-    EXPECT_NE(v->Get("start_ns"), nullptr);
+    auto v = ParseJson(line);
+    ASSERT_TRUE(v.ok()) << "invalid JSONL line: " << line;
+    ASSERT_TRUE((*v)->is_object());
+    EXPECT_NE((*v)->Get("name"), nullptr);
+    EXPECT_NE((*v)->Get("kind"), nullptr);
+    EXPECT_NE((*v)->Get("start_ns"), nullptr);
     ++parsed;
   }
   EXPECT_EQ(parsed, 2);
@@ -173,10 +173,10 @@ TEST(EventJournalTest, ChromeTraceExportRoundTrips) {
   journal.CounterSample("queue_depth", "capture", -1, 2, 3);
 
   const std::string json = journal.ToChromeTraceJson();
-  testjson::ValuePtr doc = testjson::ParseJson(json);
-  ASSERT_NE(doc, nullptr) << "Chrome trace JSON failed to parse";
-  ASSERT_TRUE(doc->is_object());
-  const testjson::Value* events = doc->Get("traceEvents");
+  auto doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << "Chrome trace JSON failed to parse";
+  ASSERT_TRUE((*doc)->is_object());
+  const JsonValue* events = (*doc)->Get("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
@@ -185,25 +185,25 @@ TEST(EventJournalTest, ChromeTraceExportRoundTrips) {
   int counters = 0;
   int metadata = 0;
   std::set<std::string> thread_names;
-  for (const auto& e : events->items) {
+  for (const auto& e : events->items()) {
     ASSERT_TRUE(e->is_object());
-    const testjson::Value* ph = e->Get("ph");
+    const JsonValue* ph = e->Get("ph");
     ASSERT_NE(ph, nullptr);
-    if (ph->str == "X") {
+    if (ph->AsString() == "X") {
       ++spans;
       EXPECT_NE(e->Get("dur"), nullptr);
       EXPECT_NE(e->Get("ts"), nullptr);
-      const testjson::Value* args = e->Get("args");
+      const JsonValue* args = e->Get("args");
       ASSERT_NE(args, nullptr);
       EXPECT_NE(args->Get("superstep"), nullptr);
-    } else if (ph->str == "i") {
+    } else if (ph->AsString() == "i") {
       ++instants;
-    } else if (ph->str == "C") {
+    } else if (ph->AsString() == "C") {
       ++counters;
-    } else if (ph->str == "M") {
+    } else if (ph->AsString() == "M") {
       ++metadata;
-      if (e->Get("name")->str == "thread_name") {
-        thread_names.insert(e->Get("args")->Get("name")->str);
+      if (e->Get("name")->AsString() == "thread_name") {
+        thread_names.insert(e->Get("args")->Get("name")->AsString());
       }
     }
   }
@@ -315,13 +315,13 @@ TEST(EventJournalEngineTest, PerWorkerPhaseSpansForEverySuperstep) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->state(), obs::JobState::kDone);
   EXPECT_EQ(entry->superstep(), supersteps);
-  testjson::ValuePtr report = testjson::ParseJson(entry->ReportJson());
-  ASSERT_NE(report, nullptr);
-  EXPECT_EQ(static_cast<int64_t>(report->Get("supersteps")->number),
+  auto report = ParseJson(entry->ReportJson());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(static_cast<int64_t>((*report)->Get("supersteps")->AsDouble()),
             supersteps);
-  testjson::ValuePtr events_doc = testjson::ParseJson(entry->EventsJson());
-  ASSERT_NE(events_doc, nullptr);
-  EXPECT_TRUE(events_doc->Get("traceEvents")->is_array());
+  auto events_doc = ParseJson(entry->EventsJson());
+  ASSERT_TRUE(events_doc.ok()) << events_doc.status();
+  EXPECT_TRUE((*events_doc)->Get("traceEvents")->is_array());
   EXPECT_GT(entry->journal_events(), 0u);
 }
 

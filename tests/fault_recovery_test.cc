@@ -5,19 +5,16 @@
 // traces and final vertex values versus a fault-free run of the same spec.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "algos/connected_components.h"
 #include "algos/pagerank.h"
 #include "common/fault_injector.h"
 #include "debug/debug_config.h"
-#include "debug/debug_runner.h"
 #include "graph/generators.h"
 #include "io/fault_injecting_trace_store.h"
 #include "io/trace_sink.h"
@@ -34,15 +31,6 @@ using algos::PageRankTraits;
 using pregel::CheckpointMeta;
 using pregel::DoubleValue;
 using pregel::Int64Value;
-
-// True when the CI matrix runs this suite with GRAFT_TRANSPORT=socket. An
-// env-resolved socket backend collapses async capture I/O to synchronous
-// writes (the leader serializes forwarded store frames), so assertions that
-// the async spool actually engaged only hold on the in-process backend.
-bool EnvSocketTransport() {
-  const char* env = std::getenv("GRAFT_TRANSPORT");
-  return env != nullptr && std::string_view(env) == "socket";
-}
 
 // ----------------------------------------------------------- FaultInjector --
 
@@ -217,7 +205,7 @@ std::map<std::string, std::vector<std::string>> StoreContents(
 }
 
 struct PageRankRun {
-  debug::DebugRunSummary summary;
+  pregel::JobRunSummary summary;
   std::map<VertexId, double> ranks;
   // Confined-recovery accounting, read off the engine in post_run.
   uint64_t replayed_vertices = 0;
@@ -262,7 +250,7 @@ Result<PageRankRun> RunCheckpointedPageRank(
     run.replayed_vertices = engine.confined_replayed_vertices();
   };
   GRAFT_ASSIGN_OR_RETURN(run.summary,
-                         debug::RunWithGraft(std::move(spec)));
+                         pregel::RunJob(std::move(spec)));
   return run;
 }
 
@@ -387,10 +375,8 @@ TEST(RecoveryTest, AsyncSinkProducesByteIdenticalTraces) {
   EXPECT_FALSE(sync_capture.async_sink);
   EXPECT_EQ(sync_capture.store_appends, async_capture.store_appends);
   EXPECT_EQ(sync_capture.trace_bytes, async_capture.trace_bytes);
-  if (!EnvSocketTransport()) {
-    EXPECT_TRUE(async_capture.async_sink);
-    EXPECT_GT(async_capture.spool_batches, 0u);
-  }
+  EXPECT_TRUE(async_capture.async_sink);
+  EXPECT_GT(async_capture.spool_batches, 0u);
 }
 
 /// Same determinism bar across a mid-run crash: an async-sink run that dies
@@ -499,7 +485,7 @@ TEST(RecoveryTest, StoreAppendFaultOnCapturePathIsRetried) {
   spec.checkpoint.interval = 2;
   spec.checkpoint.store = &ckpts;
   spec.fault_injector = &injector;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   EXPECT_TRUE(summary->job_status.ok()) << summary->job_status;
   EXPECT_EQ(summary->attempts, 2);

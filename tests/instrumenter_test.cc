@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "algos/connected_components.h"
-#include "debug/debug_runner.h"
-#include "debug/trace_reader.h"
+#include "debug/debug_session.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -23,9 +23,9 @@ std::vector<pregel::Vertex<CCTraits>> RingVertices(uint64_t n) {
       graph::GenerateRing(n), [](VertexId) { return Int64Value{0}; });
 }
 
-DebugRunSummary RunCC(const DebugConfig<CCTraits>& config,
-                      InMemoryTraceStore* store, uint64_t n = 12,
-                      const std::string& job = "job") {
+pregel::JobRunSummary RunCC(const DebugConfig<CCTraits>& config,
+                            InMemoryTraceStore* store, uint64_t n = 12,
+                            const std::string& job = "job") {
   pregel::JobSpec<CCTraits> spec;
   spec.options.job_id = job;
   spec.options.num_workers = 2;
@@ -33,14 +33,22 @@ DebugRunSummary RunCC(const DebugConfig<CCTraits>& config,
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = store;
-  auto summary = RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   EXPECT_TRUE(summary.ok()) << summary.status();
   return std::move(summary).value();
 }
 
-std::set<VertexId> CapturedIds(const TraceStore& store,
-                               const std::string& job, int64_t superstep) {
-  auto traces = ReadVertexTraces<CCTraits>(store, job, superstep);
+/// Opens one read session over a finished job's traces.
+template <pregel::JobTraits Traits = CCTraits>
+DebugSession<Traits> OpenJob(const TraceStore& store, const std::string& job) {
+  auto session = DebugSession<Traits>::Open(&store, job);
+  EXPECT_TRUE(session.ok()) << session.status();
+  return std::move(session).value();
+}
+
+std::set<VertexId> CapturedIds(const DebugSession<CCTraits>& session,
+                               int64_t superstep) {
+  auto traces = session.VertexTraces(superstep);
   EXPECT_TRUE(traces.ok());
   std::set<VertexId> ids;
   for (const auto& t : traces.value()) ids.insert(t.id);
@@ -55,11 +63,12 @@ TEST(InstrumenterTest, CapturesSpecifiedVerticesEverySuperstep) {
   InMemoryTraceStore store;
   auto summary = RunCC(config, &store);
   ASSERT_TRUE(summary.job_status.ok());
-  auto supersteps = ListCapturedSupersteps(store, "job");
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  const std::vector<int64_t>& supersteps = session.supersteps();
   EXPECT_GE(supersteps.size(), 2u);
   for (int64_t s : supersteps) {
     // Vertex 5 computes in supersteps 0 and 1 on a ring (value settles).
-    EXPECT_EQ(CapturedIds(store, "job", s), std::set<VertexId>{5});
+    EXPECT_EQ(CapturedIds(session, s), std::set<VertexId>{5});
   }
 }
 
@@ -68,7 +77,7 @@ TEST(InstrumenterTest, CapturedTraceHasReasonSpecified) {
   config.set_vertices({5});
   InMemoryTraceStore store;
   RunCC(config, &store);
-  auto trace = ReadVertexTrace<CCTraits>(store, "job", 0, 5);
+  auto trace = OpenJob(store, "job").FindVertexTrace(0, 5);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->reasons, kReasonSpecified);
   EXPECT_FALSE(trace->edges_snapshot_post);
@@ -86,15 +95,16 @@ TEST(InstrumenterTest, RandomCaptureIsSeededAndSized) {
   InMemoryTraceStore store_a, store_b;
   RunCC(config, &store_a, 30, "a");
   RunCC(config, &store_b, 30, "b");
-  auto ids_a = CapturedIds(store_a, "a", 0);
+  auto ids_a = CapturedIds(OpenJob(store_a, "a"), 0);
   EXPECT_EQ(ids_a.size(), 3u);
-  EXPECT_EQ(ids_a, CapturedIds(store_b, "b", 0)) << "random picks not seeded";
+  EXPECT_EQ(ids_a, CapturedIds(OpenJob(store_b, "b"), 0))
+      << "random picks not seeded";
 
   ConfigurableDebugConfig<CCTraits> other_seed;
   other_seed.set_num_random(3).set_random_seed(12);
   InMemoryTraceStore store_c;
   RunCC(other_seed, &store_c, 30, "c");
-  EXPECT_NE(ids_a, CapturedIds(store_c, "c", 0));
+  EXPECT_NE(ids_a, CapturedIds(OpenJob(store_c, "c"), 0));
 }
 
 TEST(InstrumenterTest, RandomCaptureClampsToGraphSize) {
@@ -102,7 +112,7 @@ TEST(InstrumenterTest, RandomCaptureClampsToGraphSize) {
   config.set_num_random(100);
   InMemoryTraceStore store;
   RunCC(config, &store, 12);
-  EXPECT_EQ(CapturedIds(store, "job", 0).size(), 12u);
+  EXPECT_EQ(CapturedIds(OpenJob(store, "job"), 0).size(), 12u);
 }
 
 TEST(InstrumenterTest, NeighborsCapturedWithNeighborReason) {
@@ -110,8 +120,9 @@ TEST(InstrumenterTest, NeighborsCapturedWithNeighborReason) {
   config.set_vertices({6}).set_capture_neighbors(true);
   InMemoryTraceStore store;
   RunCC(config, &store);
-  EXPECT_EQ(CapturedIds(store, "job", 0), (std::set<VertexId>{5, 6, 7}));
-  auto nbr = ReadVertexTrace<CCTraits>(store, "job", 0, 7);
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  EXPECT_EQ(CapturedIds(session, 0), (std::set<VertexId>{5, 6, 7}));
+  auto nbr = session.FindVertexTrace(0, 7);
   ASSERT_TRUE(nbr.ok());
   EXPECT_EQ(nbr->reasons, kReasonNeighbor);
 }
@@ -130,8 +141,9 @@ TEST(InstrumenterTest, VertexValueConstraintCapturesViolatorsOnly) {
   EXPECT_GT(summary.violations, 0u);
   // Superstep 0: every vertex keeps its own id as value; violators are
   // exactly ids 0,1,2.
-  EXPECT_EQ(CapturedIds(store, "job", 0), (std::set<VertexId>{0, 1, 2}));
-  auto trace = ReadVertexTrace<CCTraits>(store, "job", 0, 1);
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  EXPECT_EQ(CapturedIds(session, 0), (std::set<VertexId>{0, 1, 2}));
+  auto trace = session.FindVertexTrace(0, 1);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->reasons, kReasonVertexValue);
   EXPECT_TRUE(trace->edges_snapshot_post);  // lazily captured
@@ -153,9 +165,10 @@ TEST(InstrumenterTest, MessageConstraintRecordsPerMessageViolations) {
   InMemoryTraceStore store;
   auto summary = RunCC(config, &store);
   ASSERT_TRUE(summary.job_status.ok());
-  auto captured = CapturedIds(store, "job", 0);
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  auto captured = CapturedIds(session, 0);
   EXPECT_EQ(captured, (std::set<VertexId>{0, 1}));
-  auto trace = ReadVertexTrace<CCTraits>(store, "job", 0, 0);
+  auto trace = session.FindVertexTrace(0, 0);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->reasons, kReasonMessageValue);
   EXPECT_EQ(trace->violations.size(), 2u);  // one per neighbor send
@@ -198,12 +211,12 @@ TEST(InstrumenterTest, ExceptionCapturedAndJobAborts) {
   spec.computation = [] { return std::make_unique<ThrowAtVertex>(4); };
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  DebugRunSummary summary = std::move(summary_or).value();
+  pregel::JobRunSummary summary = std::move(summary_or).value();
   EXPECT_TRUE(summary.job_status.IsAborted());
   EXPECT_EQ(summary.exceptions, 1u);
-  auto trace = ReadVertexTrace<ThrowingTraits>(store, "exc", 0, 4);
+  auto trace = OpenJob<ThrowingTraits>(store, "exc").FindVertexTrace(0, 4);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->reasons, kReasonException);
   ASSERT_TRUE(trace->exception.has_value());
@@ -223,9 +236,9 @@ TEST(InstrumenterTest, ExceptionContinueModeKeepsJobAlive) {
   spec.computation = [] { return std::make_unique<ThrowAtVertex>(4); };
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  DebugRunSummary summary = std::move(summary_or).value();
+  pregel::JobRunSummary summary = std::move(summary_or).value();
   EXPECT_TRUE(summary.job_status.ok()) << summary.job_status;
   EXPECT_GE(summary.exceptions, 1u);
 }
@@ -239,12 +252,13 @@ TEST(InstrumenterTest, CaptureAllActiveWithSuperstepFilter) {
   InMemoryTraceStore store;
   auto summary = RunCC(config, &store);
   ASSERT_TRUE(summary.job_status.ok());
-  auto supersteps = ListCapturedSupersteps(store, "job");
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  const std::vector<int64_t>& supersteps = session.supersteps();
   ASSERT_FALSE(supersteps.empty());
   EXPECT_GE(supersteps.front(), 1) << "superstep 0 should be filtered out";
   // In superstep 1 every ring vertex is active (all got messages).
-  EXPECT_EQ(CapturedIds(store, "job", 1).size(), 12u);
-  auto trace = ReadVertexTrace<CCTraits>(store, "job", 1, 0);
+  EXPECT_EQ(CapturedIds(session, 1).size(), 12u);
+  auto trace = session.FindVertexTrace(1, 0);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->reasons, kReasonAllActive);
 }
@@ -260,8 +274,9 @@ TEST(InstrumenterTest, MaxCapturesStopsCapturing) {
   EXPECT_EQ(summary.captures, 7u);
   EXPECT_GT(summary.dropped_by_capture_limit, 0u);
   uint64_t total = 0;
-  for (int64_t s : ListCapturedSupersteps(store, "job")) {
-    total += CapturedIds(store, "job", s).size();
+  DebugSession<CCTraits> session = OpenJob(store, "job");
+  for (int64_t s : session.supersteps()) {
+    total += CapturedIds(session, s).size();
   }
   EXPECT_EQ(total, 7u);
 }
@@ -300,7 +315,7 @@ TEST(InstrumenterTest, InstrumentationDoesNotChangeResults) {
       instrumented_values[v.id()] = v.value().value;
     });
   };
-  auto summary = RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   EXPECT_EQ(instrumented_values, plain->component);

@@ -5,10 +5,10 @@
 
 #include "algos/graph_coloring.h"
 #include "algos/random_walk.h"
-#include "debug/debug_runner.h"
 #include "debug/invariant_checker.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -58,7 +58,7 @@ TEST(InvariantCheckerTest, CleanRunHasNoViolations) {
   ConfigurableDebugConfig<GCTraits> config;
   InvariantChecker<GCTraits> checker(&store, "inv-clean");
   checker.AddAdjacencyInvariant("distinct-colors", DistinctColors());
-  auto summary = RunWithGraft(
+  auto summary = pregel::RunJob(
       GCSpec(g, /*buggy=*/false, config, &store, &checker, "inv-clean"));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
@@ -84,7 +84,7 @@ TEST(InvariantCheckerTest, BuggyColoringTripsAdjacencyInvariant) {
     auto spec =
         GCSpec(g, /*buggy=*/true, config, &store, &checker, "inv-buggy");
     spec.options.seed = seed;
-    auto summary = RunWithGraft(std::move(spec));
+    auto summary = pregel::RunJob(std::move(spec));
     ASSERT_TRUE(summary.ok()) << summary.status();
     ASSERT_TRUE(summary->job_status.ok());
     ASSERT_GT(checker.num_violations(), 0u);
@@ -142,7 +142,7 @@ TEST(InvariantCheckerTest, GlobalInvariantWalkerConservation) {
   spec.pre_run = [&](pregel::Engine<Traits>& engine) {
     checker.AttachTo(&engine);
   };
-  auto summary = RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   EXPECT_EQ(checker.num_violations(), 0u);
@@ -180,7 +180,7 @@ TEST(InvariantCheckerTest, GlobalInvariantCatchesShortOverflowLoss) {
   spec.pre_run = [&](pregel::Engine<Traits>& engine) {
     checker.AttachTo(&engine);
   };
-  auto summary = RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   EXPECT_GT(checker.num_violations(), 0u);
@@ -197,7 +197,7 @@ TEST(InvariantCheckerTest, CheckEverySkipsSuperstepsAndCapRespected) {
                          const pregel::Vertex<GCTraits>&,
                          const pregel::NullValue&) { return false; });
   ConfigurableDebugConfig<GCTraits> config;
-  auto summary = RunWithGraft(
+  auto summary = pregel::RunJob(
       GCSpec(g, /*buggy=*/false, config, &store, &checker, "inv-cfg"));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());

@@ -15,10 +15,10 @@
 #include "algos/graph_coloring.h"
 #include "common/flat_index.h"
 #include "common/parallel.h"
-#include "debug/debug_runner.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
 #include "pregel/engine.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 #include "pregel/message_store.h"
 #include "pregel/value_types.h"
@@ -404,7 +404,7 @@ TEST(DeterminismTest, SameSeedSameConfigYieldsByteIdenticalTraces) {
     spec.master = algos::MakeGraphColoringMasterFactory();
     spec.debug_config = &config;
     spec.trace_store = store;
-    auto summary = debug::RunWithGraft(std::move(spec));
+    auto summary = RunJob(std::move(spec));
     ASSERT_TRUE(summary.ok()) << summary.status();
     ASSERT_TRUE(summary->job_status.ok()) << summary->job_status;
     ASSERT_GT(summary->captures, 0u);
@@ -449,7 +449,7 @@ TEST(DeterminismTest, CheckpointingIsTransparentToTraces) {
       spec.checkpoint.interval = 2;
       spec.checkpoint.store = ckpt_store;
     }
-    auto summary = debug::RunWithGraft(std::move(spec));
+    auto summary = RunJob(std::move(spec));
     ASSERT_TRUE(summary.ok()) << summary.status();
     ASSERT_TRUE(summary->job_status.ok()) << summary->job_status;
   };

@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "algos/connected_components.h"
-#include "debug/debug_runner.h"
 #include "debug/views/text_table.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -295,8 +295,7 @@ TEST(RunReportTest, JsonGolden) {
       report.ToJson(),
       "{\"job_id\":\"job-1\",\"num_workers\":2,\"supersteps\":1,"
       "\"total_seconds\":2,"
-      "\"transport\":\"inproc\",\"worker_processes\":1,"
-      "\"transport_bytes_sent\":0,\"transport_bytes_received\":0,"
+      "\"transport\":\"inproc\","
       "\"phase_totals\":{\"mutation\":0.5,\"delivery\":0.5,\"master\":0.5,"
       "\"compute\":0.5,\"barrier_wait\":0.5,\"aggregator_merge\":0.5},"
       "\"per_superstep\":[{\"superstep\":0,\"mutation_seconds\":0.5,"
@@ -501,9 +500,9 @@ TEST(EngineReportTest, DebugRunFillsCaptureProfile) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary_or = debug::RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  debug::DebugRunSummary summary = std::move(summary_or).value();
+  pregel::JobRunSummary summary = std::move(summary_or).value();
   ASSERT_TRUE(summary.job_status.ok()) << summary.job_status;
 
   const obs::CaptureProfile& capture = summary.stats.report.capture;

@@ -12,13 +12,13 @@
 #include "algos/graph_coloring.h"
 #include "algos/random_walk.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
+#include "debug/debug_session.h"
 #include "debug/end_to_end.h"
 #include "debug/reproducer.h"
-#include "debug/trace_reader.h"
 #include "debug/views/gui_views.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -43,6 +43,14 @@ pregel::JobSpec<GCTraits> GCSpec(const graph::SimpleGraph& g, bool buggy,
   spec.debug_config = &config;
   spec.trace_store = store;
   return spec;
+}
+
+/// Opens one read session over a finished job's traces.
+template <pregel::JobTraits Traits>
+DebugSession<Traits> OpenJob(const TraceStore& store, const std::string& job) {
+  auto session = DebugSession<Traits>::Open(&store, job);
+  EXPECT_TRUE(session.ok()) << session.status();
+  return std::move(session).value();
 }
 
 // ---------------------------------------------------- trace serialization --
@@ -140,16 +148,17 @@ TEST(ReplayFidelityTest, HoldsForAllCapturesOfARandomizedRun) {
   InMemoryTraceStore store;
   auto spec = GCSpec(g, /*buggy=*/true, config, &store, "fidelity");
   spec.options.num_workers = 3;
-  auto summary_or = RunWithGraft(std::move(spec));
+  auto summary_or = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary_or.ok()) << summary_or.status();
-  const DebugRunSummary& summary = *summary_or;
+  const pregel::JobRunSummary& summary = *summary_or;
   ASSERT_TRUE(summary.job_status.ok());
   ASSERT_GT(summary.captures, 100u);
 
   algos::GraphColoringComputation computation(true);
   uint64_t checked = 0;
-  for (int64_t s : ListCapturedSupersteps(store, "fidelity")) {
-    auto traces = ReadVertexTraces<GCTraits>(store, "fidelity", s);
+  DebugSession<GCTraits> session = OpenJob<GCTraits>(store, "fidelity");
+  for (int64_t s : session.supersteps()) {
+    auto traces = session.VertexTraces(s);
     ASSERT_TRUE(traces.ok());
     for (const auto& trace : traces.value()) {
       ReplayFidelity fidelity = CheckReplayFidelity(trace, computation);
@@ -179,13 +188,14 @@ TEST(ReplayFidelityTest, DetectsWrongComputation) {
     InMemoryTraceStore store;
     auto spec = GCSpec(g, /*buggy=*/true, config, &store, "diverge");
     spec.options.seed = seed;
-    auto summary = RunWithGraft(std::move(spec));
+    auto summary = pregel::RunJob(std::move(spec));
     ASSERT_TRUE(summary.ok()) << summary.status();
     ASSERT_TRUE(summary->job_status.ok());
     algos::GraphColoringComputation fixed(false);
     bool diverged = false;
-    for (int64_t s : ListCapturedSupersteps(store, "diverge")) {
-      auto traces = ReadVertexTraces<GCTraits>(store, "diverge", s);
+    DebugSession<GCTraits> session = OpenJob<GCTraits>(store, "diverge");
+    for (int64_t s : session.supersteps()) {
+      auto traces = session.VertexTraces(s);
       ASSERT_TRUE(traces.ok());
       for (const auto& trace : traces.value()) {
         if (!CheckReplayFidelity(trace, fixed).Faithful()) {
@@ -224,8 +234,8 @@ TEST(ReplayFidelityTest, ExceptionTraceReplaysException) {
   spec.computation = [] { return std::make_unique<ThrowOnOddSuperstep>(); };
   spec.debug_config = &config;
   spec.trace_store = &store;
-  ASSERT_TRUE(RunWithGraft(std::move(spec)).ok());
-  auto trace = ReadVertexTrace<CCTraits>(store, "exc-replay", 1, 0);
+  ASSERT_TRUE(pregel::RunJob(std::move(spec)).ok());
+  auto trace = OpenJob<CCTraits>(store, "exc-replay").FindVertexTrace(1, 0);
   ASSERT_TRUE(trace.ok()) << trace.status();
   ASSERT_TRUE(trace->exception.has_value());
   ThrowOnOddSuperstep computation;
@@ -237,13 +247,14 @@ TEST(ReplayFidelityTest, MasterReplayMatchesGCPhases) {
   graph::SimpleGraph g = graph::GenerateComplete(5);
   ConfigurableDebugConfig<GCTraits> config;
   InMemoryTraceStore store;
-  ASSERT_TRUE(RunWithGraft(
+  ASSERT_TRUE(pregel::RunJob(
                   GCSpec(g, /*buggy=*/false, config, &store, "master-replay"))
                   .ok());
   algos::GraphColoringMaster master;
   int checked = 0;
-  for (int64_t s : ListCapturedSupersteps(store, "master-replay")) {
-    auto trace = ReadMasterTrace(store, "master-replay", s);
+  DebugSession<GCTraits> session = OpenJob<GCTraits>(store, "master-replay");
+  for (int64_t s : session.supersteps()) {
+    auto trace = session.Master(s);
     if (!trace.ok()) continue;
     ReplayFidelity fidelity = CheckMasterReplayFidelity(*trace, master);
     EXPECT_TRUE(fidelity.Faithful())
@@ -323,9 +334,9 @@ TEST(CodegenTest, GeneratedCodeCompiles) {
   config.set_vertices({0, 1});
   InMemoryTraceStore store;
   ASSERT_TRUE(
-      RunWithGraft(GCSpec(g, /*buggy=*/true, config, &store, "codegen"))
+      pregel::RunJob(GCSpec(g, /*buggy=*/true, config, &store, "codegen"))
           .ok());
-  auto trace = ReadVertexTrace<GCTraits>(store, "codegen", 1, 0);
+  auto trace = OpenJob<GCTraits>(store, "codegen").FindVertexTrace(1, 0);
   ASSERT_TRUE(trace.ok()) << trace.status();
   std::string code = GenerateVertexTestCode(*trace, GCBinding());
 
@@ -384,7 +395,7 @@ void RunForViews(const std::string& job, InMemoryTraceStore* store_out) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = store_out;
-  ASSERT_TRUE(RunWithGraft(std::move(spec)).ok());
+  ASSERT_TRUE(pregel::RunJob(std::move(spec)).ok());
 }
 
 TEST(ViewsTest, NodeLinkViewShowsVerticesAndMessages) {
@@ -444,7 +455,7 @@ TEST(ViewsTest, ViolationsViewListsConstraintHits) {
   spec.computation = algos::MakeConnectedComponentsFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  ASSERT_TRUE(RunWithGraft(std::move(spec)).ok());
+  ASSERT_TRUE(pregel::RunJob(std::move(spec)).ok());
   GraftGui<CCTraits> gui(&store, "viol");
   gui.SeekFirst();
   auto view = gui.ViolationsView();
@@ -530,7 +541,8 @@ TEST(ViewsTest, HtmlExportIsWellFormedAndComplete) {
 TEST(TraceReaderTest, VertexHistoryWalksSuperstepsInOrder) {
   InMemoryTraceStore store;
   RunForViews("history", &store);
-  auto history = ReadVertexHistory<CCTraits>(store, "history", 2);
+  DebugSession<CCTraits> session = OpenJob<CCTraits>(store, "history");
+  auto history = session.VertexHistory(2);
   ASSERT_TRUE(history.ok());
   ASSERT_GE(history->size(), 2u);
   for (size_t i = 0; i < history->size(); ++i) {
@@ -540,7 +552,7 @@ TEST(TraceReaderTest, VertexHistoryWalksSuperstepsInOrder) {
     }
   }
   // Missing vertex yields an empty history, not an error.
-  auto none = ReadVertexHistory<CCTraits>(store, "history", 999);
+  auto none = session.VertexHistory(999);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
 }
@@ -553,7 +565,7 @@ TEST(ViewsTest, NodeLinkShowsMasterAggregatorPanel) {
   config.set_vertices({0});
   InMemoryTraceStore store;
   ASSERT_TRUE(
-      RunWithGraft(GCSpec(g, /*buggy=*/false, config, &store, "agg-panel"))
+      pregel::RunJob(GCSpec(g, /*buggy=*/false, config, &store, "agg-panel"))
           .ok());
   GraftGui<GCTraits> gui(&store, "agg-panel");
   gui.SeekFirst();

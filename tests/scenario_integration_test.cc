@@ -7,13 +7,13 @@
 #include "algos/max_weight_matching.h"
 #include "algos/random_walk.h"
 #include "debug/codegen.h"
-#include "debug/debug_runner.h"
+#include "debug/debug_session.h"
 #include "debug/reproducer.h"
-#include "debug/trace_reader.h"
 #include "debug/views/gui_views.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "io/trace_store.h"
+#include "pregel/job.h"
 #include "pregel/loader.h"
 
 namespace graft {
@@ -62,16 +62,19 @@ TEST(Scenario41GraphColoring, CaptureVisualizeReproduce) {
   spec.master = algos::MakeGraphColoringMasterFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   ASSERT_GT(summary->captures, 0u);
 
+  auto session = debug::DebugSession<GCTraits>::Open(&store, "s41");
+  ASSERT_TRUE(session.ok()) << session.status();
+
   // Visualize: find the superstep where both entered the MIS together.
   int64_t suspicious = -1;
-  for (int64_t s : debug::ListCapturedSupersteps(store, "s41")) {
-    auto tu = debug::ReadVertexTrace<GCTraits>(store, "s41", s, u);
-    auto tv = debug::ReadVertexTrace<GCTraits>(store, "s41", s, v);
+  for (int64_t s : session->supersteps()) {
+    auto tu = session->FindVertexTrace(s, u);
+    auto tv = session->FindVertexTrace(s, v);
     if (tu.ok() && tv.ok() &&
         tu->value_after.state == algos::GCState::kInSet &&
         tv->value_after.state == algos::GCState::kInSet) {
@@ -94,10 +97,10 @@ TEST(Scenario41GraphColoring, CaptureVisualizeReproduce) {
   algos::GraphColoringComputation buggy(true);
   algos::GraphColoringComputation fixed(false);
   bool diverges = false;
-  for (int64_t s : debug::ListCapturedSupersteps(store, "s41")) {
+  for (int64_t s : session->supersteps()) {
     if (s > suspicious) break;
     for (VertexId w : {u, v}) {
-      auto trace = debug::ReadVertexTrace<GCTraits>(store, "s41", s, w);
+      auto trace = session->FindVertexTrace(s, w);
       if (!trace.ok()) continue;
       EXPECT_TRUE(debug::CheckReplayFidelity(*trace, buggy).Faithful());
       if (!debug::CheckReplayFidelity(*trace, fixed).Faithful()) {
@@ -108,7 +111,7 @@ TEST(Scenario41GraphColoring, CaptureVisualizeReproduce) {
   EXPECT_TRUE(diverges);
 
   // The generated test file names the suspicious superstep and vertex.
-  auto trace = debug::ReadVertexTrace<GCTraits>(store, "s41", suspicious, u);
+  auto trace = session->FindVertexTrace(suspicious, u);
   ASSERT_TRUE(trace.ok());
   debug::CodegenBinding binding;
   binding.traits_type = "graft::algos::GCTraits";
@@ -151,7 +154,7 @@ TEST(Scenario42RandomWalk, MessageConstraintCatchesShortOverflow) {
   spec.computation = algos::MakeRandomWalkFactory<RWShortTraits>(10, 400);
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   ASSERT_GT(summary->violations, 0u) << "no overflow at this scale";
@@ -230,7 +233,7 @@ TEST(Scenario43Matching, CaptureAllActiveFindsInputGraphError) {
   spec.computation = algos::MakeMaxWeightMatchingFactory();
   spec.debug_config = &config;
   spec.trace_store = &store;
-  auto summary = debug::RunWithGraft(std::move(spec));
+  auto summary = pregel::RunJob(std::move(spec));
   ASSERT_TRUE(summary.ok()) << summary.status();
   ASSERT_TRUE(summary->job_status.ok());
   ASSERT_GT(summary->captures, 0u);

@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "algos/pagerank.h"
+#include "common/json_parser.h"
 #include "graph/generators.h"
 #include "obs/event_journal.h"
 #include "obs/job_registry.h"
@@ -25,7 +26,6 @@
 #include "obs/run_report.h"
 #include "pregel/job.h"
 #include "pregel/loader.h"
-#include "tiny_json.h"
 
 namespace graft {
 namespace {
@@ -141,20 +141,20 @@ TEST(TelemetryServerTest, HandleServesJobsDirectoryAndReport) {
 
   auto jobs = fx.server->Handle("GET", "/jobs");
   EXPECT_EQ(jobs.status, 200);
-  testjson::ValuePtr doc = testjson::ParseJson(jobs.body);
-  ASSERT_NE(doc, nullptr) << jobs.body;
-  const testjson::Value* list = doc->Get("jobs");
+  auto doc = ParseJson(jobs.body);
+  ASSERT_TRUE(doc.ok()) << jobs.body;
+  const JsonValue* list = (*doc)->Get("jobs");
   ASSERT_NE(list, nullptr);
-  ASSERT_EQ(list->items.size(), 1u);
-  EXPECT_EQ(list->items[0]->Get("job_id")->str, "job-a");
-  EXPECT_EQ(list->items[0]->Get("state")->str, "running");
-  EXPECT_EQ(static_cast<int>(list->items[0]->Get("superstep")->number), 4);
+  ASSERT_EQ(list->items().size(), 1u);
+  EXPECT_EQ(list->items()[0]->Get("job_id")->AsString(), "job-a");
+  EXPECT_EQ(list->items()[0]->Get("state")->AsString(), "running");
+  EXPECT_EQ(static_cast<int>(list->items()[0]->Get("superstep")->AsDouble()), 4);
 
   auto rep = fx.server->Handle("GET", "/jobs/job-a/report");
   EXPECT_EQ(rep.status, 200);
-  testjson::ValuePtr rep_doc = testjson::ParseJson(rep.body);
-  ASSERT_NE(rep_doc, nullptr) << rep.body;
-  EXPECT_EQ(static_cast<int>(rep_doc->Get("supersteps")->number), 4);
+  auto rep_doc = ParseJson(rep.body);
+  ASSERT_TRUE(rep_doc.ok()) << rep.body;
+  EXPECT_EQ(static_cast<int>((*rep_doc)->Get("supersteps")->AsDouble()), 4);
 
   // /jobs/<id> without a trailing segment serves the report too.
   EXPECT_EQ(fx.server->Handle("GET", "/jobs/job-a").body, rep.body);
@@ -172,21 +172,21 @@ TEST(TelemetryServerTest, HandleServesJournalEvents) {
   auto events = fx.server->Handle("GET", "/jobs/job-j/events");
   EXPECT_EQ(events.status, 200);
   EXPECT_EQ(events.content_type, "application/json");
-  testjson::ValuePtr doc = testjson::ParseJson(events.body);
-  ASSERT_NE(doc, nullptr) << events.body;
-  ASSERT_TRUE(doc->Get("traceEvents")->is_array());
+  auto doc = ParseJson(events.body);
+  ASSERT_TRUE(doc.ok()) << events.body;
+  ASSERT_TRUE((*doc)->Get("traceEvents")->is_array());
 
   // After detach the cached export still serves.
   entry->Finish(true, "OK");
   entry->DetachJournal();
   auto cached = fx.server->Handle("GET", "/jobs/job-j/events");
   EXPECT_EQ(cached.status, 200);
-  testjson::ValuePtr cached_doc = testjson::ParseJson(cached.body);
-  ASSERT_NE(cached_doc, nullptr);
+  auto cached_doc = ParseJson(cached.body);
+  ASSERT_TRUE(cached_doc.ok()) << cached_doc.status();
   bool saw_compute = false;
-  for (const auto& e : cached_doc->Get("traceEvents")->items) {
-    const testjson::Value* name = e->Get("name");
-    if (name != nullptr && name->str == "compute") saw_compute = true;
+  for (const auto& e : (*cached_doc)->Get("traceEvents")->items()) {
+    const JsonValue* name = e->Get("name");
+    if (name != nullptr && name->AsString() == "compute") saw_compute = true;
   }
   EXPECT_TRUE(saw_compute);
 }
@@ -268,10 +268,10 @@ TEST(TelemetryServerTest, RunJobIntegrationServesLiveProgress) {
                         const pregel::SuperstepStats&) override {
       if (superstep != 2) return;
       std::string rep = BodyOf(HttpGet(port, "/jobs/live-job/report"));
-      testjson::ValuePtr doc = testjson::ParseJson(rep);
-      if (doc != nullptr && doc->Get("supersteps") != nullptr) {
+      auto doc = ParseJson(rep);
+      if (doc.ok() && (*doc)->Get("supersteps") != nullptr) {
         observed_at_barrier =
-            static_cast<int64_t>(doc->Get("supersteps")->number);
+            static_cast<int64_t>((*doc)->Get("supersteps")->AsDouble());
       }
       std::string metrics = HttpGet(port, "/metrics");
       metrics_ok_mid_run =
@@ -298,14 +298,15 @@ TEST(TelemetryServerTest, RunJobIntegrationServesLiveProgress) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->state(), JobState::kDone);
   std::string final_report = BodyOf(HttpGet(port, "/jobs/live-job/report"));
-  testjson::ValuePtr report_doc = testjson::ParseJson(final_report);
-  ASSERT_NE(report_doc, nullptr) << final_report;
-  EXPECT_EQ(static_cast<int64_t>(report_doc->Get("supersteps")->number),
-            summary->stats.supersteps);
+  auto report_doc = ParseJson(final_report);
+  ASSERT_TRUE(report_doc.ok()) << final_report;
+  EXPECT_EQ(
+      static_cast<int64_t>((*report_doc)->Get("supersteps")->AsDouble()),
+      summary->stats.supersteps);
   std::string events = BodyOf(HttpGet(port, "/jobs/live-job/events"));
-  testjson::ValuePtr events_doc = testjson::ParseJson(events);
-  ASSERT_NE(events_doc, nullptr);
-  EXPECT_FALSE(events_doc->Get("traceEvents")->items.empty());
+  auto events_doc = ParseJson(events);
+  ASSERT_TRUE(events_doc.ok()) << events_doc.status();
+  EXPECT_FALSE((*events_doc)->Get("traceEvents")->items().empty());
 }
 
 }  // namespace

@@ -20,6 +20,10 @@ struct BackendParam {
   std::function<std::unique_ptr<TraceStore>(const std::string& dir)> make;
 };
 
+// Without this gtest prints the parameter as its raw bytes, which hold heap
+// addresses, so every build would list the tests under different names.
+void PrintTo(const BackendParam& param, std::ostream* os) { *os << param.name; }
+
 class TraceStoreTest : public ::testing::TestWithParam<BackendParam> {
  protected:
   void SetUp() override {

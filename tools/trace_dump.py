@@ -151,21 +151,16 @@ def describe_record(header, body):
 
 
 def dump_manifest(job_dir, job):
-    """Prints the manifest and returns the shard-attribution index:
-    {(kind, superstep, vertex_id): worker}. The manifest's worker column is
-    the partition that computed the capture — under the in-process backend a
-    worker thread, under the socket backend (DESIGN.md §15) a worker OS
-    process whose appends the leader applied. Either way it names the shard
-    a record came from."""
+    """Prints the manifest, one line per captured superstep."""
     path = os.path.join(job_dir, "manifest.idx")
     if not os.path.exists(path):
         print("manifest: absent (crashed run or pre-v2 job; "
               "readers fall back to directory scans)")
-        return {}
+        return
     records = list(store_records(path))
     if not records:
         print("manifest: empty file")
-        return {}
+        return
     header, body = parse_frame(records[-1], path)
     if header is None or header["kind"] != 2:
         raise ParseError(f"{path}: not a manifest record")
@@ -186,12 +181,10 @@ def dump_manifest(job_dir, job):
             line += f" [{ids}]"
         workers = sorted({e["worker"] for e in vertex})
         if workers:
-            line += " shards[" + ", ".join(f"w{w}" for w in workers) + "]"
+            line += " workers[" + ", ".join(f"w{w}" for w in workers) + "]"
         if master:
             line += f" + master"
         print(line)
-    return {(e["kind"], e["superstep"], e["vertex_id"]): e["worker"]
-            for e in entries}
 
 
 def read_string(reader):
@@ -406,9 +399,8 @@ def dump_job(root, job, show_records):
     if not has_traces and not has_ckpts:
         raise ParseError(f"no such job directory: {job_dir}")
     print(f"job: {job}")
-    shard_index = {}
     if has_traces:
-        shard_index = dump_manifest(job_dir, job)
+        dump_manifest(job_dir, job)
     dump_checkpoints(root, job, show_records)
     if not has_traces:
         return
@@ -421,10 +413,6 @@ def dump_job(root, job, show_records):
     trace_files.sort()
     print(f"trace files: {len(trace_files)}")
     totals = {"records": 0, "legacy": 0, "skipped": 0}
-    # Per-shard accounting: which worker (thread in-process, OS process
-    # under the socket backend) produced how much of the trace volume.
-    shard_records = {}
-    shard_bytes = {}
     for path in trace_files:
         rel = os.path.relpath(path, root)
         rows = []
@@ -436,29 +424,13 @@ def dump_job(root, job, show_records):
                   or header["kind"] not in KIND_NAMES):
                 totals["skipped"] += 1
             totals["records"] += 1
-            row = f"    [{index}] {describe_record(header, body)}"
-            if header is not None:
-                key = (header["kind"], header["superstep"],
-                       header["vertex_id"])
-                worker = shard_index.get(key)
-                if worker is not None:
-                    row += f" shard=w{worker}"
-                    shard_records[worker] = shard_records.get(worker, 0) + 1
-                    shard_bytes[worker] = (shard_bytes.get(worker, 0)
-                                           + len(record))
-            rows.append(row)
+            rows.append(f"    [{index}] {describe_record(header, body)}")
         print(f"  {rel}: {len(rows)} records")
         if show_records:
             for row in rows:
                 print(row)
     print(f"total: {totals['records']} records "
           f"({totals['legacy']} legacy, {totals['skipped']} skipped)")
-    if shard_records:
-        print("shard attribution (worker thread in-process, worker OS "
-              "process under the socket transport):")
-        for worker in sorted(shard_records):
-            print(f"  w{worker}: {shard_records[worker]} records, "
-                  f"{shard_bytes[worker]}B")
 
 
 def main():
