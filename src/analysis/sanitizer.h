@@ -38,13 +38,6 @@ struct SanitizerOptions {
   /// Escalate every finding to a job abort (Status::Aborted, never retried)
   /// instead of recording it and letting the run finish.
   bool fail_on_violation = false;
-
-  // Per-rule toggles (only consulted when `enabled`).
-  bool check_send_after_halt = true;      // (a)
-  bool check_stale_reads = true;          // (b) — Stamped<T> epoch checks
-  bool check_aggregator_phase = true;     // (c)
-  bool check_mutation_after_halt = true;  // (d)
-  bool check_commutativity = true;        // (e) combiner self-test
   /// (e) re-execution probe: 0 = off, 1 = every vertex every superstep,
   /// N = a deterministic 1-in-N sample keyed on (seed, superstep, vertex).
   uint32_t determinism_sample_rate = 0;
@@ -227,7 +220,6 @@ class BspSanitizer {
     void Compute(pregel::ComputeContext<Traits>& ctx,
                  pregel::Vertex<Traits>& vertex,
                  const std::vector<Message>& messages) override {
-      const SanitizerOptions& opts = sanitizer_->options_;
       const int64_t superstep = ctx.superstep();
       worker_ = ctx.worker_index();
       superstep_ = superstep;
@@ -252,8 +244,7 @@ class BspSanitizer {
         // duration of the user call; the guard restores both on normal
         // return and on unwind (the outer instrumenter catches user
         // exceptions — the thread must be clean by then).
-        ThreadHookGuard guard(opts.check_mutation_after_halt ? this : nullptr,
-                              opts.check_stale_reads ? &reporter_ : nullptr,
+        ThreadHookGuard guard(this, &reporter_,
                               AccessEpoch{superstep, vertex.id(), true});
         inner_->Compute(sctx, vertex, messages);
       }
@@ -373,7 +364,7 @@ class BspSanitizer {
 
       void SendMessage(VertexId target, const Message& message) override {
         BspSanitizer* sanitizer = owner_->sanitizer_;
-        if (sanitizer->options_.check_send_after_halt && vertex_->halted()) {
+        if (vertex_->halted()) {
           sanitizer->log_.Record(AnalysisFinding{
               .kind = FindingKind::kSendAfterHalt,
               .superstep = inner_->superstep(),
@@ -384,8 +375,7 @@ class BspSanitizer {
                   "Compute() call",
                   static_cast<long long>(target))});
         }
-        if (sanitizer->options_.check_commutativity &&
-            sanitizer->combiner_ != nullptr) {
+        if (sanitizer->combiner_ != nullptr) {
           sanitizer->TestCombinerSample(message, inner_->superstep(),
                                         owner_->worker_);
         }
@@ -401,8 +391,7 @@ class BspSanitizer {
                      const pregel::AggValue& update) override {
         BspSanitizer* sanitizer = owner_->sanitizer_;
         const int64_t superstep = inner_->superstep();
-        if (sanitizer->options_.check_aggregator_phase &&
-            sanitizer->clock_ != nullptr) {
+        if (sanitizer->clock_ != nullptr) {
           const auto [phase, clock_superstep] = sanitizer->clock_->Read();
           if (phase != pregel::EnginePhase::kVertexCompute) {
             sanitizer->log_.Record(AnalysisFinding{
@@ -522,35 +511,33 @@ class BspSanitizer {
 
     Status SetAggregated(const std::string& name,
                          const pregel::AggValue& value) override {
-      if (sanitizer_->options_.check_aggregator_phase) {
-        if (in_initialize_) {
-          // Initialize() runs before superstep 0, whose aggregator reset
-          // discards any value set here — the classic "why is my phase
-          // aggregator still at its initial value" master bug (§3.4).
-          sanitizer_->log_.Record(AnalysisFinding{
-              .kind = FindingKind::kAggregatorPhase,
-              .superstep = -1,
-              .vertex = -1,
-              .worker = -1,
-              .detail = StrFormat(
-                  "SetAggregated(\"%s\") during Initialize() — the value is "
-                  "discarded by the superstep-0 aggregator reset; set it "
-                  "from Compute() or via the spec's initial value",
-                  name.c_str())});
-        } else if (sanitizer_->clock_ != nullptr &&
-                   sanitizer_->clock_->phase() !=
-                       pregel::EnginePhase::kMasterCompute) {
-          sanitizer_->log_.Record(AnalysisFinding{
-              .kind = FindingKind::kAggregatorPhase,
-              .superstep = sanitizer_->clock_->superstep(),
-              .vertex = -1,
-              .worker = -1,
-              .detail = StrFormat(
-                  "master SetAggregated(\"%s\") outside master.compute() "
-                  "(engine is in %s)",
-                  name.c_str(),
-                  pregel::EnginePhaseName(sanitizer_->clock_->phase()))});
-        }
+      if (in_initialize_) {
+        // Initialize() runs before superstep 0, whose aggregator reset
+        // discards any value set here — the classic "why is my phase
+        // aggregator still at its initial value" master bug (§3.4).
+        sanitizer_->log_.Record(AnalysisFinding{
+            .kind = FindingKind::kAggregatorPhase,
+            .superstep = -1,
+            .vertex = -1,
+            .worker = -1,
+            .detail = StrFormat(
+                "SetAggregated(\"%s\") during Initialize() — the value is "
+                "discarded by the superstep-0 aggregator reset; set it "
+                "from Compute() or via the spec's initial value",
+                name.c_str())});
+      } else if (sanitizer_->clock_ != nullptr &&
+                 sanitizer_->clock_->phase() !=
+                     pregel::EnginePhase::kMasterCompute) {
+        sanitizer_->log_.Record(AnalysisFinding{
+            .kind = FindingKind::kAggregatorPhase,
+            .superstep = sanitizer_->clock_->superstep(),
+            .vertex = -1,
+            .worker = -1,
+            .detail = StrFormat(
+                "master SetAggregated(\"%s\") outside master.compute() "
+                "(engine is in %s)",
+                name.c_str(),
+                pregel::EnginePhaseName(sanitizer_->clock_->phase()))});
       }
       return inner_->SetAggregated(name, value);
     }

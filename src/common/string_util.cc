@@ -126,6 +126,21 @@ bool ParseDouble(std::string_view s, double* out) {
   return true;
 }
 
+std::optional<int64_t> ParseNumberedDir(std::string_view path,
+                                        std::string_view prefix) {
+  if (!path.starts_with(prefix)) return std::nullopt;
+  const size_t slash = path.find('/', prefix.size());
+  if (slash == std::string_view::npos) return std::nullopt;
+  const std::string_view digits =
+      path.substr(prefix.size(), slash - prefix.size());
+  int64_t n = 0;
+  if (digits.find_first_not_of("0123456789") != std::string_view::npos ||
+      !ParseInt64(digits, &n)) {
+    return std::nullopt;
+  }
+  return n;
+}
+
 std::string Ellipsize(std::string_view s, size_t max_len) {
   if (s.size() <= max_len) return std::string(s);
   if (max_len <= 3) return std::string(s.substr(0, max_len));

@@ -2,6 +2,7 @@
 #define GRAFT_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,12 @@ std::string HumanBytes(uint64_t bytes);
 bool ParseInt64(std::string_view s, int64_t* out);
 /// Parses a double; the full string must be consumed.
 bool ParseDouble(std::string_view s, double* out);
+
+/// N of a store path starting "<prefix><N>/" with N all decimal digits
+/// ("superstep_000012/x" gives 12); nullopt otherwise, so layout parsers
+/// skip stray names such as "superstep_/" or "topology_x/".
+std::optional<int64_t> ParseNumberedDir(std::string_view path,
+                                        std::string_view prefix);
 
 /// Truncates to `max_len` characters appending "..." when truncated.
 std::string Ellipsize(std::string_view s, size_t max_len);

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -76,9 +75,9 @@ Status PruneTracesFrom(TraceStore& store, const std::string& job_id,
 template <pregel::JobTraits Traits>
 class CaptureManager {
  public:
-  /// Full constructor: captures flow through `sink` (not owned; must outlive
-  /// the manager) and a manifest index is built with one contention-free
-  /// slot per worker plus one for the master.
+  /// Captures flow through `sink` (not owned; must outlive the manager) and
+  /// a manifest index is built with one contention-free slot per worker plus
+  /// one for the master.
   CaptureManager(TraceStore* store, TraceSink* sink,
                  const DebugConfig<Traits>* config, std::string job_id,
                  int num_workers)
@@ -88,19 +87,6 @@ class CaptureManager {
         job_id_(std::move(job_id)),
         num_workers_(num_workers),
         manifest_slots_(static_cast<size_t>(num_workers) + 1) {
-    InitFromConfig();
-  }
-
-  /// Convenience constructor preserving the historical signature: a private
-  /// synchronous sink over `store`, no manifest (unit tests and ad-hoc
-  /// captures outside RunJob).
-  CaptureManager(TraceStore* store, const DebugConfig<Traits>* config,
-                 std::string job_id)
-      : owned_sink_(std::make_unique<SyncTraceSink>(store)),
-        store_(store),
-        sink_(owned_sink_.get()),
-        config_(config),
-        job_id_(std::move(job_id)) {
     InitFromConfig();
   }
 
@@ -284,7 +270,6 @@ class CaptureManager {
   /// the final sink quiesce; entries are emitted in sorted order so the
   /// manifest bytes are deterministic regardless of worker interleaving.
   Status WriteManifest() {
-    if (manifest_slots_.empty()) return Status::OK();
     TraceManifest manifest;
     for (ManifestSlot& slot : manifest_slots_) {
       std::lock_guard<std::mutex> lock(slot.mutex);
@@ -400,7 +385,7 @@ class CaptureManager {
 
   void IndexRecord(int slot_index, TraceRecordKind kind, int64_t superstep,
                    VertexId vertex_id) {
-    if (manifest_slots_.empty() || slot_index < 0 ||
+    if (slot_index < 0 ||
         static_cast<size_t>(slot_index) >= manifest_slots_.size()) {
       return;
     }
@@ -419,7 +404,6 @@ class CaptureManager {
     slot.entries.push_back(entry);
   }
 
-  std::unique_ptr<TraceSink> owned_sink_;  // compat-constructor sink only
   TraceStore* store_;
   TraceSink* sink_;
   const DebugConfig<Traits>* config_;
@@ -465,14 +449,11 @@ inline Status PruneTracesFrom(TraceStore& store, const std::string& job_id,
   int64_t pruned_dirs = -1;  // dedup: superstep dirs arrive sorted per file
   for (const std::string& file : store.ListFiles(prefix)) {
     const std::string_view rest = std::string_view(file).substr(prefix.size());
-    if (rest.size() <= 10 || rest.substr(0, 10) != "superstep_") continue;
-    const size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) continue;
-    const int64_t s = std::stoll(std::string(rest.substr(10, slash - 10)));
-    if (s < superstep || s == pruned_dirs) continue;
+    const std::optional<int64_t> s = ParseNumberedDir(rest, "superstep_");
+    if (!s.has_value() || *s < superstep || *s == pruned_dirs) continue;
     GRAFT_RETURN_NOT_OK(store.DeletePrefix(
-        prefix + std::string(rest.substr(0, slash + 1))));
-    pruned_dirs = s;
+        prefix + std::string(rest.substr(0, rest.find('/') + 1))));
+    pruned_dirs = *s;
   }
   return Status::OK();
 }

@@ -3,10 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,24 +35,42 @@ struct TraceQuery {
   std::shared_ptr<const analysis::Predicate> predicate;
 };
 
-/// Loads the manifest of `job_id` if one was written. Absent manifests are
-/// not an error (crashed or pre-v2 jobs): the result holds std::nullopt and
-/// callers fall back to directory scans.
-Result<std::optional<TraceManifest>> LoadTraceManifest(
-    const TraceStore& store, const std::string& job_id);
+/// The decoded index of one job (DESIGN.md §10): immutable, and shared by
+/// every DebugSession and service view of the job.
+struct TraceIndex {
+  std::string job_id;
+  /// False for a manifest-less job (crashed mid-run, or seed-format): a
+  /// directory scan filled `supersteps`; the other members are empty.
+  bool has_manifest = false;
+  TraceManifest manifest;
+  /// Supersteps with at least one captured record, ascending.
+  std::vector<int64_t> supersteps;
+  /// Supersteps with a master trace, ascending.
+  std::vector<int64_t> master_supersteps;
+};
 
-/// LoadTraceManifest through `cache` (nullptr = uncached): present manifests
-/// are decoded once per (store, job) and shared; absence is never cached, so
-/// a job that finishes later becomes visible on the next call.
-Result<std::optional<TraceManifest>> LoadTraceManifestCached(
+/// The index of `job_id`. A manifest is decoded and validated once per
+/// (store, job) residency in `cache` (nullptr = uncached, decoded on every
+/// call). A job without one gets an uncached directory scan: absence is
+/// never cached, so a job that finishes later becomes manifest-backed on the
+/// next call. Fails only on a corrupt manifest, never on a missing one.
+Result<std::shared_ptr<const TraceIndex>> LoadTraceIndex(
     const TraceStore& store, const std::string& job_id,
     TraceBlockCache* cache);
 
-/// Supersteps for which any vertex or master trace exists, ascending. This
-/// is the directory-scan primitive DebugSession falls back to when a job
-/// has no manifest.
+/// Supersteps for which any vertex or master trace exists, ascending: the
+/// directory scan behind the index of a manifest-less job.
 std::vector<int64_t> ListCapturedSupersteps(const TraceStore& store,
                                             const std::string& job_id);
+
+/// The master trace of `superstep`, read through `cache` when non-null.
+/// Manifest-backed jobs answer absence from the index without probing the
+/// store: the cache never holds negative entries, so a probe for a missing
+/// file would cost one store read (and one cache miss) on every call.
+Result<MasterTrace> ReadMasterTrace(const TraceStore& store,
+                                    TraceBlockCache* cache,
+                                    const TraceIndex& index,
+                                    int64_t superstep);
 
 /// The one read API over a job's captured traces (DESIGN.md §10): open a
 /// job, then query captures by superstep / vertex / reason / exception as
@@ -62,50 +78,43 @@ std::vector<int64_t> ListCapturedSupersteps(const TraceStore& store,
 /// instead of parsing trace files themselves.
 ///
 /// When the job wrote a manifest (every successful run since format v2),
-/// point lookups — FindVertexTrace, VertexHistory, Master — resolve through
-/// the (vertex, superstep) → (file, record ordinal) index in O(1) store
-/// reads. Without one (crashed mid-run, or a seed-format job) every query
-/// transparently degrades to the historical directory scan. Records with an
-/// unknown format version or kind are skipped, not fatal.
+/// point lookups — FindVertexTrace, VertexHistory, Master — binary-search
+/// the shared TraceIndex and read one record each. Without one (crashed
+/// mid-run, or a seed-format job) every query transparently degrades to the
+/// historical directory scan. Records with an unknown format version or
+/// kind are skipped, not fatal.
 template <pregel::JobTraits Traits>
 class DebugSession {
  public:
   /// Opens a job for reading. `store` must outlive the session. Fails only
   /// on a corrupt manifest, never on a missing one. With a non-null `cache`
-  /// (which must also outlive the session) every record/manifest decode goes
-  /// through the shared TraceBlockCache, so concurrent sessions over the
-  /// same job share decoded blocks and warm point lookups do zero store
-  /// reads.
+  /// (which must also outlive the session) the job's index and every record
+  /// block come from the shared TraceBlockCache, so concurrent sessions over
+  /// the same job share one decoded index and warm point lookups do zero
+  /// store reads.
   static Result<DebugSession> Open(const TraceStore* store,
-                                   std::string job_id,
+                                   const std::string& job_id,
                                    TraceBlockCache* cache = nullptr) {
-    DebugSession session(store, std::move(job_id));
-    session.cache_ = cache;
-    GRAFT_ASSIGN_OR_RETURN(
-        std::optional<TraceManifest> manifest,
-        LoadTraceManifestCached(*store, session.job_id_, cache));
-    if (manifest.has_value()) {
-      session.has_manifest_ = true;
-      session.IndexManifest(*std::move(manifest));
-    } else {
-      session.supersteps_ = ListCapturedSupersteps(*store, session.job_id_);
-    }
-    return session;
+    GRAFT_ASSIGN_OR_RETURN(std::shared_ptr<const TraceIndex> index,
+                           LoadTraceIndex(*store, job_id, cache));
+    return DebugSession(store, cache, std::move(index));
   }
 
-  const std::string& job_id() const { return job_id_; }
+  const std::string& job_id() const { return index_->job_id; }
   const TraceStore& store() const { return *store_; }
-  bool has_manifest() const { return has_manifest_; }
+  bool has_manifest() const { return index_->has_manifest; }
 
   /// Supersteps with at least one captured record, ascending.
-  const std::vector<int64_t>& supersteps() const { return supersteps_; }
+  const std::vector<int64_t>& supersteps() const {
+    return index_->supersteps;
+  }
 
   /// All vertex traces captured in `superstep`, ordered by vertex id.
   Result<std::vector<VertexTrace<Traits>>> VertexTraces(
       int64_t superstep) const {
     std::vector<VertexTrace<Traits>> traces;
     const std::string prefix =
-        StrFormat("%s/superstep_%06lld/", job_id_.c_str(),
+        StrFormat("%s/superstep_%06lld/", job_id().c_str(),
                   static_cast<long long>(superstep));
     for (const std::string& file : store_->ListFiles(prefix)) {
       if (file.size() < 7 ||
@@ -131,14 +140,14 @@ class DebugSession {
   /// manifest; a scan of the superstep's files without.
   Result<VertexTrace<Traits>> FindVertexTrace(int64_t superstep,
                                               VertexId id) const {
-    if (has_manifest_) {
-      auto it = vertex_index_.find({superstep, id});
-      if (it == vertex_index_.end()) return NoTraceError(superstep, id);
-      const TraceManifestEntry& entry = it->second;
+    if (has_manifest()) {
+      const TraceManifestEntry* entry =
+          index_->manifest.Find(TraceRecordKind::kVertex, superstep, id);
+      if (entry == nullptr) return NoTraceError(superstep, id);
       GRAFT_ASSIGN_OR_RETURN(
           std::string record,
-          ReadOneRecord(VertexTraceFile(job_id_, superstep, entry.worker),
-                        entry.record_index));
+          ReadOneRecord(VertexTraceFile(job_id(), superstep, entry->worker),
+                        entry->record_index));
       GRAFT_ASSIGN_OR_RETURN(std::optional<VertexTrace<Traits>> trace,
                              DecodeVertexRecord(record));
       if (!trace.has_value()) return NoTraceError(superstep, id);
@@ -156,42 +165,23 @@ class DebugSession {
   /// the GUI's Next/Previous superstep replay.
   Result<std::vector<VertexTrace<Traits>>> VertexHistory(VertexId id) const {
     std::vector<VertexTrace<Traits>> history;
-    if (has_manifest_) {
-      // The index is superstep-major, so entries of one vertex are not
-      // contiguous; walk the index (cheap, in memory) and do O(1) record
-      // reads only for the matches.
-      for (const auto& [key, entry] : vertex_index_) {
-        if (key.second != id) continue;
-        auto trace = FindVertexTrace(key.first, id);
-        if (trace.ok()) history.push_back(std::move(trace).value());
-      }
-      return history;
-    }
-    for (int64_t superstep : supersteps_) {
+    for (int64_t superstep : supersteps()) {
       auto trace = FindVertexTrace(superstep, id);
       if (trace.ok()) history.push_back(std::move(trace).value());
     }
     return history;
   }
 
-  /// The master trace of a superstep. Manifest-backed jobs answer absence
-  /// from the in-memory index without probing the store — the cache never
-  /// holds negative entries, so a store probe for a missing file would cost
-  /// one read (and one cache miss) on every call.
+  /// The master trace of a superstep (see ReadMasterTrace).
   Result<MasterTrace> Master(int64_t superstep) const {
-    if (has_manifest_ && master_steps_.count(superstep) == 0) {
-      return Status::NotFound(StrFormat(
-          "no master trace for superstep %lld of job '%s'",
-          static_cast<long long>(superstep), job_id_.c_str()));
-    }
-    const std::string file = MasterTraceFile(job_id_, superstep);
-    GRAFT_ASSIGN_OR_RETURN(std::string record, ReadOneRecord(file, 0));
-    return MasterTrace::Deserialize(record);
+    return ReadMasterTrace(*store_, cache_, *index_, superstep);
   }
 
   /// Supersteps with a master trace, ascending (manifest-backed jobs only;
   /// empty for directory-scan sessions).
-  const std::set<int64_t>& master_supersteps() const { return master_steps_; }
+  const std::vector<int64_t>& master_supersteps() const {
+    return index_->master_supersteps;
+  }
 
   /// Typed query across the whole job: captures matching every set filter,
   /// ordered by (superstep, vertex id).
@@ -227,7 +217,7 @@ class DebugSession {
       });
       return out;
     }
-    for (int64_t superstep : supersteps_) {
+    for (int64_t superstep : supersteps()) {
       if (query.superstep.has_value() && superstep != *query.superstep) {
         continue;
       }
@@ -244,8 +234,9 @@ class DebugSession {
   TraceBlockCache* cache() const { return cache_; }
 
  private:
-  DebugSession(const TraceStore* store, std::string job_id)
-      : store_(store), job_id_(std::move(job_id)) {}
+  DebugSession(const TraceStore* store, TraceBlockCache* cache,
+               std::shared_ptr<const TraceIndex> index)
+      : store_(store), cache_(cache), index_(std::move(index)) {}
 
   /// All records of one trace file: the shared cached block when a cache is
   /// attached, a private copy otherwise.
@@ -283,33 +274,12 @@ class DebugSession {
     return Status::NotFound(StrFormat(
         "no trace for vertex %lld in superstep %lld of job '%s'",
         static_cast<long long>(id), static_cast<long long>(superstep),
-        job_id_.c_str()));
-  }
-
-  void IndexManifest(TraceManifest manifest) {
-    std::set<int64_t> steps;
-    for (const TraceManifestEntry& entry : manifest.entries) {
-      steps.insert(entry.superstep);
-      if (entry.kind == TraceRecordKind::kVertex) {
-        vertex_index_.emplace(std::make_pair(entry.superstep, entry.vertex_id),
-                              entry);
-      }
-      if (entry.kind == TraceRecordKind::kMaster) {
-        master_steps_.insert(entry.superstep);
-      }
-    }
-    supersteps_.assign(steps.begin(), steps.end());
+        job_id().c_str()));
   }
 
   const TraceStore* store_;
-  std::string job_id_;
-  TraceBlockCache* cache_ = nullptr;
-  bool has_manifest_ = false;
-  std::vector<int64_t> supersteps_;
-  /// (superstep, vertex) → manifest entry; only for manifest-backed jobs.
-  std::map<std::pair<int64_t, VertexId>, TraceManifestEntry> vertex_index_;
-  /// Supersteps with a kMaster manifest entry; only for manifest-backed jobs.
-  std::set<int64_t> master_steps_;
+  TraceBlockCache* cache_;
+  std::shared_ptr<const TraceIndex> index_;
 };
 
 }  // namespace debug

@@ -1,5 +1,8 @@
 #include "debug/vertex_trace.h"
 
+#include <algorithm>
+#include <tuple>
+
 namespace graft {
 namespace debug {
 
@@ -100,10 +103,42 @@ Result<TraceManifest> TraceManifest::Deserialize(std::string_view record) {
     GRAFT_ASSIGN_OR_RETURN(int64_t worker, r.ReadSignedVarint());
     e.worker = static_cast<int32_t>(worker);
     GRAFT_ASSIGN_OR_RETURN(e.record_index, r.ReadVarint());
+    const TraceManifestEntry* prev =
+        manifest.entries.empty() ? nullptr : &manifest.entries.back();
+    if (prev != nullptr &&
+        std::tie(prev->kind, prev->superstep, prev->vertex_id) >=
+            std::tie(e.kind, e.superstep, e.vertex_id)) {
+      return Status::InvalidArgument(StrFormat(
+          "trace manifest entry %llu is out of order or duplicated",
+          static_cast<unsigned long long>(i)));
+    }
     manifest.entries.push_back(e);
   }
   // Trailing bytes are future manifest fields; ignore them.
   return manifest;
+}
+
+std::span<const TraceManifestEntry> TraceManifest::Range(
+    TraceRecordKind kind, int64_t superstep) const {
+  const auto first = std::partition_point(
+      entries.begin(), entries.end(), [&](const TraceManifestEntry& e) {
+        return std::tie(e.kind, e.superstep) < std::tie(kind, superstep);
+      });
+  const auto last = std::partition_point(
+      first, entries.end(), [&](const TraceManifestEntry& e) {
+        return e.kind == kind && e.superstep == superstep;
+      });
+  return {first, last};
+}
+
+const TraceManifestEntry* TraceManifest::Find(TraceRecordKind kind,
+                                              int64_t superstep,
+                                              VertexId vertex_id) const {
+  const std::span<const TraceManifestEntry> range = Range(kind, superstep);
+  const auto it = std::partition_point(
+      range.begin(), range.end(),
+      [&](const TraceManifestEntry& e) { return e.vertex_id < vertex_id; });
+  return it != range.end() && it->vertex_id == vertex_id ? &*it : nullptr;
 }
 
 std::string ManifestFile(const std::string& job_id) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,11 +125,24 @@ struct TraceManifestEntry {
 /// error: readers fall back to directory scans (e.g. crashed or pre-v2
 /// jobs). Unknown trailing bytes after the entry array are ignored.
 struct TraceManifest {
+  /// Sorted by (kind, superstep, vertex_id), each key at most once — the
+  /// order CaptureManager::WriteManifest emits and Deserialize enforces, so
+  /// lookups are binary searches.
   std::vector<TraceManifestEntry> entries;
 
   /// Fully framed record (kind = kManifest), ready for TraceStore::Append.
   std::string Serialize() const;
+  /// Fails on a corrupt record, and with InvalidArgument on entries that
+  /// are not sorted and unique, so a bad manifest never yields a wrong
+  /// lookup.
   static Result<TraceManifest> Deserialize(std::string_view record);
+
+  /// The entries of one kind in one superstep, ordered by vertex id.
+  std::span<const TraceManifestEntry> Range(TraceRecordKind kind,
+                                            int64_t superstep) const;
+  /// The entry of (kind, superstep, vertex), or nullptr.
+  const TraceManifestEntry* Find(TraceRecordKind kind, int64_t superstep,
+                                 VertexId vertex_id) const;
 };
 
 /// "<job_id>/manifest.idx" — deliberately outside the superstep_* directory

@@ -20,7 +20,7 @@ namespace graft {
 
 struct TraceBlockCacheOptions {
   /// Total byte budget across all shards. Decoded record blocks and
-  /// type-erased entries (manifests, sessions) count their payload bytes.
+  /// type-erased entries (job indexes) count their payload bytes.
   size_t byte_budget = 64ull << 20;
   /// Power-of-two shard count; each shard owns budget/shards bytes and its
   /// own mutex + LRU list, so concurrent readers on different files don't
@@ -31,15 +31,14 @@ struct TraceBlockCacheOptions {
 /// Process-wide sharded LRU over decoded trace data (DESIGN.md §13): the
 /// read-side counterpart of the capture pipeline. Concurrent DebugSession
 /// readers — the debug service's handler threads — share one cache so a hot
-/// job's record blocks and manifest are decoded once and every further point
+/// job's record blocks and index are decoded once and every further point
 /// lookup is an in-memory index probe instead of a store rescan.
 ///
 /// Two entry planes share the budget and the LRU discipline:
 ///  - file blocks: the full record vector of one trace file
 ///    (`GetFileBlock`), the unit the manifest's record ordinals index into;
-///  - type-erased entries (`GetOrLoad`): decoded manifests and opened
-///    DebugSession objects, cached by the debug layer without this layer
-///    depending on it.
+///  - type-erased entries (`GetOrLoad`): each job's decoded TraceIndex,
+///    cached by the debug layer without this layer depending on it.
 ///
 /// Keys carry the owning store's `store_uid()`, so a store that dies and a
 /// new one reusing its address can never read each other's blocks. Entries
@@ -88,7 +87,7 @@ class TraceBlockCache {
                                  const std::string& file, uint64_t index);
 
   /// Type-erased get-or-load keyed by (store uid, key). The caller supplies
-  /// the decode; `key` should be namespaced ("manifest/<job>", ...). The
+  /// the decode; `key` should be namespaced ("<job>/manifest.idx#index"). The
   /// pointed-to value must be immutable.
   Result<AnyPtr> GetOrLoad(uint64_t store_uid, const std::string& key,
                            const AnyLoader& loader);

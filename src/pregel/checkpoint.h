@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,8 +31,10 @@ namespace pregel {
 ///    — the meta just points at their previous value part); pending inboxes
 ///    are never snapshotted — every delivery appends the per-partition
 ///    outbox to a message log and recovery *regenerates* inboxes by
-///    replaying it. Delta mode also unlocks confined recovery: a failure at
-///    one partition rolls back and recomputes only that partition.
+///    replaying it. Delta mode also runs confined recovery: a failure at one
+///    partition rolls back and recomputes only that partition, falling back
+///    to a global rollback when there is no committed checkpoint yet or the
+///    topology mutated since it.
 enum class CheckpointMode : uint8_t {
   kFull = 0,
   kDelta = 1,
@@ -57,12 +60,6 @@ struct CheckpointOptions {
   /// EXPERIMENTS.md overhead table); kFull remains the default for
   /// compatibility with jobs that inspect raw checkpoint parts.
   CheckpointMode mode = CheckpointMode::kFull;
-  /// Delta mode only: recover a single failed partition in-place (rebuild it
-  /// from its checkpoint + log replay on the engine thread) instead of
-  /// rolling the whole job back. Falls back to global rollback whenever its
-  /// preconditions fail (no committed checkpoint yet, or the topology
-  /// mutated since the checkpoint).
-  bool confined = true;
   /// Spool part/meta writes through an async sink and quiesce before COMMIT
   /// (keeps store latency off the superstep barrier); set false to force
   /// the synchronous single-shot commit.
@@ -292,11 +289,9 @@ inline std::vector<int64_t> ListCommittedCheckpoints(
   std::vector<int64_t> supersteps;
   for (const std::string& file : store.ListFiles(prefix)) {
     const std::string_view rest = std::string_view(file).substr(prefix.size());
-    long long s = 0;
-    if (rest.size() > 10 && rest.substr(0, 10) == "superstep_" &&
-        rest.substr(rest.find('/') + 1) == "COMMIT") {
-      s = std::stoll(std::string(rest.substr(10, rest.find('/') - 10)));
-      supersteps.push_back(static_cast<int64_t>(s));
+    const std::optional<int64_t> s = ParseNumberedDir(rest, "superstep_");
+    if (s.has_value() && rest.substr(rest.find('/') + 1) == "COMMIT") {
+      supersteps.push_back(*s);
     }
   }
   std::sort(supersteps.begin(), supersteps.end());
@@ -363,19 +358,11 @@ inline Status GarbageCollectCheckpoints(TraceStore& store,
   const int64_t oldest_kept = all[kept_begin];
   for (const std::string& file : store.ListFiles(prefix)) {
     const std::string_view rest = std::string_view(file).substr(prefix.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) continue;
-    if (rest.substr(0, 9) == "topology_") {
-      const int64_t epoch = std::stoll(std::string(rest.substr(9, slash - 9)));
-      if (live_epochs.count(epoch) == 0) dead_epochs.insert(epoch);
-    } else if (rest.substr(0, 7) == "outbox/") {
-      const std::string_view sub = rest.substr(7);
-      const size_t sub_slash = sub.find('/');
-      if (sub_slash == std::string_view::npos || sub.substr(0, 1) != "s") {
-        continue;
-      }
-      const int64_t s = std::stoll(std::string(sub.substr(1, sub_slash - 1)));
-      if (s < oldest_kept) dead_logs.insert(s);
+    if (const auto epoch = ParseNumberedDir(rest, "topology_")) {
+      if (live_epochs.count(*epoch) == 0) dead_epochs.insert(*epoch);
+    } else if (rest.starts_with("outbox/")) {
+      const auto s = ParseNumberedDir(rest.substr(7), "s");
+      if (s.has_value() && *s < oldest_kept) dead_logs.insert(*s);
     }
   }
   for (int64_t epoch : dead_epochs) {

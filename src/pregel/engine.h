@@ -492,8 +492,7 @@ class Engine {
   // ---- Checkpoint / restore / confined recovery (engine_checkpoint.h) ---
 
   bool UseConfinedRecovery() const {
-    return options_.checkpoint.enabled() && options_.checkpoint.delta() &&
-           options_.checkpoint.confined;
+    return options_.checkpoint.enabled() && options_.checkpoint.delta();
   }
 
   Status WriteCheckpoint(int64_t superstep, uint64_t delivered,

@@ -598,14 +598,9 @@ Status Engine<Traits>::DeleteOutboxLogsAfter(int64_t checkpoint) {
   const std::string prefix = OutboxRoot(options_.job_id);
   std::set<int64_t> doomed;
   for (const std::string& file : store.ListFiles(prefix)) {
-    const std::string_view rest =
-        std::string_view(file).substr(prefix.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string_view::npos || rest.substr(0, 1) != "s") {
-      continue;
-    }
-    const int64_t s = std::stoll(std::string(rest.substr(1, slash - 1)));
-    if (s > checkpoint) doomed.insert(s);
+    const std::optional<int64_t> s =
+        ParseNumberedDir(std::string_view(file).substr(prefix.size()), "s");
+    if (s.has_value() && *s > checkpoint) doomed.insert(*s);
   }
   for (int64_t s : doomed) {
     GRAFT_RETURN_NOT_OK(

@@ -34,6 +34,10 @@
 namespace graft {
 namespace pregel {
 
+/// Retained-event capacity of a job-owned event journal (a ring: the oldest
+/// events are dropped and counted once it wraps).
+inline constexpr size_t kJobJournalCapacity = 1 << 16;
+
 /// Everything that defines one job run, in one named-field struct — the
 /// single configuration surface for plain runs, debugged (Graft) runs, and
 /// checkpointed/fault-injected runs.
@@ -102,11 +106,8 @@ struct JobSpec {
     /// capture/checkpoint/recovery paths emit phase spans into it; off (the
     /// default) costs one pointer test per phase.
     bool journal = false;
-    /// Retained-event capacity of the job-owned journal (ring; oldest events
-    /// are dropped and counted once it wraps).
-    size_t journal_capacity = 1 << 16;
     /// Use an externally owned journal instead of a job-owned one. Implies
-    /// `journal` and ignores `journal_capacity`.
+    /// `journal`.
     obs::EventJournal* journal_sink = nullptr;
     /// Register the job and publish barrier-granularity progress snapshots
     /// so an attached TelemetryServer can serve /jobs/<id>/report and
@@ -213,7 +214,7 @@ Result<JobRunSummary> RunJob(JobSpec<Traits> spec) {
   std::optional<obs::EventJournal> owned_journal;
   obs::EventJournal* journal = spec.telemetry.journal_sink;
   if (journal == nullptr && spec.telemetry.journal) {
-    owned_journal.emplace(spec.telemetry.journal_capacity);
+    owned_journal.emplace(kJobJournalCapacity);
     journal = &*owned_journal;
   }
   std::shared_ptr<obs::JobEntry> telemetry_entry;

@@ -1,6 +1,5 @@
 #include "service/debug_service.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -361,56 +360,51 @@ Response DebugService::HandleSupersteps(const HttpRequest& request) {
   if (Status readable = CheckReadable(job_id); !readable.ok()) {
     return obs::TelemetryServer::ErrorResponse(readable);
   }
-  auto manifest = debug::LoadTraceManifestCached(*options_.store, job_id,
-                                                 options_.cache);
-  if (!manifest.ok()) {
-    return obs::TelemetryServer::ErrorResponse(manifest.status());
-  }
-  // (superstep → {vertex records, has master}) from the manifest's index, or
-  // from a directory scan for manifest-less (crashed / pre-v2) jobs.
-  std::map<int64_t, std::pair<uint64_t, bool>> steps;
-  if (manifest->has_value()) {
-    for (const debug::TraceManifestEntry& entry : (*manifest)->entries) {
-      auto& slot = steps[entry.superstep];
-      if (entry.kind == debug::TraceRecordKind::kVertex) ++slot.first;
-      if (entry.kind == debug::TraceRecordKind::kMaster) slot.second = true;
-    }
-  } else {
-    for (int64_t superstep :
-         debug::ListCapturedSupersteps(*options_.store, job_id)) {
-      steps.emplace(superstep, std::make_pair(uint64_t{0}, false));
-    }
-  }
-  if (steps.empty()) {
+  auto index =
+      debug::LoadTraceIndex(*options_.store, job_id, options_.cache);
+  if (!index.ok()) return obs::TelemetryServer::ErrorResponse(index.status());
+  const debug::TraceIndex& job_index = **index;
+  if (job_index.supersteps.empty()) {
     return obs::TelemetryServer::ErrorResponse(
         Status::NotFound("job '" + job_id + "' has no captures"));
   }
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("service.debug_reads_total")->Increment();
   }
+  // Per-superstep counts come from the manifest; a manifest-less job's
+  // index has no entries, so it reports 0 records and no master.
+  const debug::TraceManifest& manifest = job_index.manifest;
+  auto vertex_records = [&manifest](int64_t superstep) -> uint64_t {
+    return manifest.Range(debug::TraceRecordKind::kVertex, superstep).size();
+  };
+  auto has_master = [&manifest](int64_t superstep) {
+    return !manifest.Range(debug::TraceRecordKind::kMaster, superstep).empty();
+  };
   if (request.QueryParam("format", "json") == "text") {
     Response r;
-    r.body = StrFormat("job '%s': %llu captured supersteps\n", job_id.c_str(),
-                       static_cast<unsigned long long>(steps.size()));
-    for (const auto& [superstep, info] : steps) {
+    r.body = StrFormat(
+        "job '%s': %llu captured supersteps\n", job_id.c_str(),
+        static_cast<unsigned long long>(job_index.supersteps.size()));
+    for (int64_t superstep : job_index.supersteps) {
       r.body += StrFormat("superstep %lld: %llu vertex records%s\n",
                           static_cast<long long>(superstep),
-                          static_cast<unsigned long long>(info.first),
-                          info.second ? ", master" : "");
+                          static_cast<unsigned long long>(
+                              vertex_records(superstep)),
+                          has_master(superstep) ? ", master" : "");
     }
     return r;
   }
   JsonWriter w;
   w.BeginObject();
   w.KV("job", job_id);
-  w.KV("manifest", manifest->has_value());
+  w.KV("manifest", job_index.has_manifest);
   w.Key("supersteps");
   w.BeginArray();
-  for (const auto& [superstep, info] : steps) {
+  for (int64_t superstep : job_index.supersteps) {
     w.BeginObject();
     w.KV("superstep", superstep);
-    w.KV("vertex_records", info.first);
-    w.KV("master", info.second);
+    w.KV("vertex_records", vertex_records(superstep));
+    w.KV("master", has_master(superstep));
     w.EndObject();
   }
   w.EndArray();
@@ -423,72 +417,30 @@ Response DebugService::HandleMaster(const HttpRequest& request) {
   if (Status readable = CheckReadable(job_id); !readable.ok()) {
     return obs::TelemetryServer::ErrorResponse(readable);
   }
-  // The manifest's kMaster entries answer "which supersteps have a master
-  // trace" from memory. Gating reads on it matters for the cache: absence is
-  // never cached, so probing the store for a missing master file would cost
-  // one read per request forever.
-  auto manifest = debug::LoadTraceManifestCached(*options_.store, job_id,
-                                                 options_.cache);
-  if (!manifest.ok()) {
-    return obs::TelemetryServer::ErrorResponse(manifest.status());
-  }
+  auto index =
+      debug::LoadTraceIndex(*options_.store, job_id, options_.cache);
+  if (!index.ok()) return obs::TelemetryServer::ErrorResponse(index.status());
   int64_t superstep = -1;
   if (const std::string s = request.QueryParam("superstep"); !s.empty()) {
     if (!ParseInt64(s, &superstep)) {
       return obs::TelemetryServer::ErrorResponse(
           Status::InvalidArgument("superstep must be an integer"));
     }
-    if (manifest->has_value()) {
-      bool has_master = false;
-      for (const debug::TraceManifestEntry& entry : (*manifest)->entries) {
-        if (entry.kind == debug::TraceRecordKind::kMaster &&
-            entry.superstep == superstep) {
-          has_master = true;
-          break;
-        }
-      }
-      if (!has_master) {
-        return obs::TelemetryServer::ErrorResponse(Status::NotFound(
-            StrFormat("no master trace for superstep %lld of job '%s'",
-                      static_cast<long long>(superstep), job_id.c_str())));
-      }
-    }
   } else {
-    // Default: the first superstep with a master record (manifest-backed),
-    // else the first captured superstep.
-    bool found = false;
-    if (manifest->has_value()) {
-      for (const debug::TraceManifestEntry& entry : (*manifest)->entries) {
-        if (entry.kind != debug::TraceRecordKind::kMaster) continue;
-        if (!found || entry.superstep < superstep) superstep = entry.superstep;
-        found = true;
-      }
-      if (!found) {
-        return obs::TelemetryServer::ErrorResponse(
-            Status::NotFound("job '" + job_id + "' has no master traces"));
-      }
-    }
-    if (!found) {
-      std::vector<int64_t> steps =
-          debug::ListCapturedSupersteps(*options_.store, job_id);
-      if (steps.empty()) {
-        return obs::TelemetryServer::ErrorResponse(
-            Status::NotFound("job '" + job_id + "' has no captures"));
-      }
-      superstep = steps.front();
-    }
-  }
-  auto record = options_.cache->ReadRecord(
-      *options_.store, debug::MasterTraceFile(job_id, superstep), 0);
-  if (!record.ok()) {
-    if (record.status().IsNotFound()) {
+    // Default: the first superstep with a master trace, or for a
+    // manifest-less job the first captured superstep.
+    const bool manifest = (*index)->has_manifest;
+    const std::vector<int64_t>& steps =
+        manifest ? (*index)->master_supersteps : (*index)->supersteps;
+    if (steps.empty()) {
       return obs::TelemetryServer::ErrorResponse(Status::NotFound(
-          StrFormat("no master trace for superstep %lld of job '%s'",
-                    static_cast<long long>(superstep), job_id.c_str())));
+          "job '" + job_id + "' has no " +
+          (manifest ? "master traces" : "captures")));
     }
-    return obs::TelemetryServer::ErrorResponse(record.status());
+    superstep = steps.front();
   }
-  auto master = debug::MasterTrace::Deserialize(*record);
+  auto master = debug::ReadMasterTrace(*options_.store, options_.cache,
+                                       **index, superstep);
   if (!master.ok()) {
     return obs::TelemetryServer::ErrorResponse(master.status());
   }

@@ -370,6 +370,19 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("x12", &v));
 }
 
+TEST(StringUtilTest, ParseNumberedDir) {
+  EXPECT_EQ(ParseNumberedDir("superstep_000012/worker_000.vtrace",
+                             "superstep_"),
+            12);
+  EXPECT_EQ(ParseNumberedDir("s000003/part-000", "s"), 3);
+  for (const char* stray : {"superstep_/COMMIT", "superstep_x/COMMIT",
+                            "superstep_-1/COMMIT", "superstep_ 4/COMMIT",
+                            "superstep_12", "topology_000001/part-000",
+                            "manifest.idx", ""}) {
+    EXPECT_EQ(ParseNumberedDir(stray, "superstep_"), std::nullopt) << stray;
+  }
+}
+
 TEST(StringUtilTest, ParseDouble) {
   double v;
   EXPECT_TRUE(ParseDouble("2.5", &v));

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "algos/pagerank.h"
 #include "common/json_parser.h"
 #include "common/string_util.h"
+#include "debug/debug_session.h"
 #include "io/trace_block_cache.h"
 #include "io/trace_store.h"
 #include "obs/job_registry.h"
@@ -233,6 +235,65 @@ TEST_F(DebugServiceTest, SuperstepsViewJsonAndText) {
       server_->Handle("GET", "/jobs/steps-1/debug/supersteps?format=text");
   ASSERT_EQ(text.status, 200);
   EXPECT_NE(text.body.find("captured supersteps"), std::string::npos);
+}
+
+/// Two sessions and a service read over one finished job on one cache share
+/// a single decoded index: once the first Open has decoded it, the cache
+/// takes no further miss.
+TEST_F(DebugServiceTest, SessionsAndServiceShareOneDecodedIndex) {
+  RunJob("pagerank", "shared-1");
+  auto first = debug::DebugSession<algos::PageRankTraits>::Open(
+      &store_, "shared-1", &cache_);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const uint64_t misses = cache_.stats().misses;
+  auto second = debug::DebugSession<algos::PageRankTraits>::Open(
+      &store_, "shared-1", &cache_);
+  ASSERT_TRUE(second.ok()) << second.status();
+  Response steps = server_->Handle("GET", "/jobs/shared-1/debug/supersteps");
+  ASSERT_EQ(steps.status, 200) << steps.body;
+  EXPECT_EQ(cache_.stats().misses, misses);
+}
+
+/// A manifest-less (crashed-run) job read through the service: the
+/// supersteps come from the directory scan with no per-superstep counts,
+/// and /master without ?superstep= defaults to the first captured one.
+TEST_F(DebugServiceTest, ManifestLessJobReadsFromDirectoryScan) {
+  RunJob("pagerank", "crashed-1");
+  ASSERT_TRUE(store_.DeletePrefix(debug::ManifestFile("crashed-1")).ok());
+  const std::vector<int64_t> scanned =
+      debug::ListCapturedSupersteps(store_, "crashed-1");
+  ASSERT_FALSE(scanned.empty());
+
+  Response json = server_->Handle("GET", "/jobs/crashed-1/debug/supersteps");
+  ASSERT_EQ(json.status, 200) << json.body;
+  auto body = ParseJson(json.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  EXPECT_FALSE((*body)->Get("manifest")->AsBool());
+  const auto& steps = (*body)->Get("supersteps")->items();
+  ASSERT_EQ(steps.size(), scanned.size());
+  std::string expected_text = StrFormat(
+      "job 'crashed-1': %zu captured supersteps\n", scanned.size());
+  for (size_t i = 0; i < scanned.size(); ++i) {
+    EXPECT_EQ(*steps[i]->Get("superstep")->AsInt64(), scanned[i]);
+    EXPECT_EQ(*steps[i]->Get("vertex_records")->AsInt64(), 0);
+    EXPECT_FALSE(steps[i]->Get("master")->AsBool());
+    expected_text += StrFormat("superstep %lld: 0 vertex records\n",
+                               static_cast<long long>(scanned[i]));
+  }
+  Response text =
+      server_->Handle("GET", "/jobs/crashed-1/debug/supersteps?format=text");
+  ASSERT_EQ(text.status, 200);
+  EXPECT_EQ(text.body, expected_text);
+
+  Response master = server_->Handle("GET", "/jobs/crashed-1/debug/master");
+  ASSERT_EQ(master.status, 200) << master.body;
+  auto master_body = ParseJson(master.body);
+  ASSERT_TRUE(master_body.ok()) << master_body.status();
+  EXPECT_EQ(*(*master_body)->Get("superstep")->AsInt64(), scanned.front());
+  EXPECT_EQ(
+      server_->Handle("GET", "/jobs/crashed-1/debug/master?superstep=999")
+          .status,
+      404);
 }
 
 TEST_F(DebugServiceTest, VerticesViewPaginates) {

@@ -21,6 +21,7 @@
 #include "debug/reproducer.h"
 #include "graph/generators.h"
 #include "io/fault_injecting_trace_store.h"
+#include "io/trace_block_cache.h"
 #include "io/trace_sink.h"
 #include "io/trace_store.h"
 #include "pregel/job.h"
@@ -179,6 +180,47 @@ TEST(TraceFramingTest, ManifestRoundtripsAndIgnoresTrailingBytes) {
       << "a vertex record is not a manifest";
 }
 
+/// Lookups are binary searches, so Deserialize admits only sorted, unique
+/// entries: anything else is InvalidArgument, never a wrong answer.
+TEST(TraceFramingTest, ManifestRejectsUnsortedAndDuplicateEntries) {
+  TraceManifest unsorted;
+  unsorted.entries = {{TraceRecordKind::kVertex, 1, 4, 0, 0},
+                      {TraceRecordKind::kVertex, 0, 7, 0, 0}};
+  TraceManifest duplicate;
+  duplicate.entries = {{TraceRecordKind::kVertex, 0, 7, 0, 0},
+                       {TraceRecordKind::kVertex, 0, 7, 1, 3}};
+  TraceManifest kinds_unsorted;
+  kinds_unsorted.entries = {{TraceRecordKind::kMaster, 0, 0, -1, 0},
+                            {TraceRecordKind::kVertex, 1, 2, 0, 0}};
+  for (const TraceManifest* bad : {&unsorted, &duplicate, &kinds_unsorted}) {
+    auto parsed = TraceManifest::Deserialize(bad->Serialize());
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+  }
+}
+
+TEST(TraceFramingTest, ManifestRangeAndFindBinarySearch) {
+  TraceManifest manifest;
+  manifest.entries = {{TraceRecordKind::kVertex, 0, 1, 0, 0},
+                      {TraceRecordKind::kVertex, 0, 5, 1, 0},
+                      {TraceRecordKind::kVertex, 2, 5, 1, 0},
+                      {TraceRecordKind::kVertex, 2, 9, 0, 1},
+                      {TraceRecordKind::kMaster, 0, 0, -1, 0},
+                      {TraceRecordKind::kMaster, 2, 0, -1, 0}};
+  EXPECT_EQ(manifest.Range(TraceRecordKind::kVertex, 0).size(), 2u);
+  EXPECT_EQ(manifest.Range(TraceRecordKind::kVertex, 1).size(), 0u);
+  EXPECT_EQ(manifest.Range(TraceRecordKind::kVertex, 2).size(), 2u);
+  EXPECT_EQ(manifest.Range(TraceRecordKind::kMaster, 2).size(), 1u);
+  EXPECT_TRUE(manifest.Range(TraceRecordKind::kMaster, 1).empty());
+
+  const TraceManifestEntry* hit = manifest.Find(TraceRecordKind::kVertex, 2, 9);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->worker, 0);
+  EXPECT_EQ(hit->record_index, 1u);
+  EXPECT_EQ(manifest.Find(TraceRecordKind::kVertex, 2, 1), nullptr);
+  EXPECT_EQ(manifest.Find(TraceRecordKind::kVertex, 3, 5), nullptr);
+  EXPECT_NE(manifest.Find(TraceRecordKind::kMaster, 0, 0), nullptr);
+}
+
 // ------------------------------------------------------------ version skew --
 
 /// Seed-format v0 vertex trace, generated by the pre-ISSUE-5 serializer and
@@ -192,28 +234,96 @@ constexpr char kV0VertexTraceBlob[] =
     "\x00\x0c\x01\x01\x10\x0c\x00\x00\x00";
 constexpr size_t kV0VertexTraceBlobSize = sizeof(kV0VertexTraceBlob) - 1;
 
+/// The fields both vertex golden blobs (v0 above, v2 below) carry.
+void ExpectGoldenVertexFields(const VertexTrace<CCTraits>& trace) {
+  EXPECT_EQ(trace.superstep, 3);
+  EXPECT_EQ(trace.id, 7);
+  EXPECT_EQ(trace.reasons, debug::kReasonSpecified);
+  EXPECT_EQ(trace.value_before, (Int64Value{5}));
+  EXPECT_EQ(trace.value_after, (Int64Value{6}));
+  ASSERT_EQ(trace.edges.size(), 2u);
+  EXPECT_EQ(trace.edges[0].target, 8);
+  EXPECT_EQ(trace.edges[1].target, 9);
+  ASSERT_EQ(trace.incoming.size(), 2u);
+  EXPECT_EQ(trace.incoming[0], (Int64Value{4}));
+  EXPECT_DOUBLE_EQ(trace.aggregators.at("pi").AsDouble(), 3.5);
+  EXPECT_EQ(trace.total_vertices, 10);
+  EXPECT_EQ(trace.total_edges, 20);
+  EXPECT_EQ(trace.rng_state, 0xDEADBEEFull);
+  EXPECT_TRUE(trace.halted_after);
+  ASSERT_EQ(trace.outgoing.size(), 1u);
+  EXPECT_EQ(trace.outgoing[0].first, 8);
+  EXPECT_FALSE(trace.exception.has_value());
+}
+
 TEST(VersionSkewTest, CheckedInV0BlobStillDecodes) {
   std::string_view blob(kV0VertexTraceBlob, kV0VertexTraceBlobSize);
   auto trace = VertexTrace<CCTraits>::Deserialize(blob);
   ASSERT_TRUE(trace.ok()) << trace.status();
-  EXPECT_EQ(trace->superstep, 3);
-  EXPECT_EQ(trace->id, 7);
-  EXPECT_EQ(trace->reasons, debug::kReasonSpecified);
-  EXPECT_EQ(trace->value_before, (Int64Value{5}));
-  EXPECT_EQ(trace->value_after, (Int64Value{6}));
-  ASSERT_EQ(trace->edges.size(), 2u);
-  EXPECT_EQ(trace->edges[0].target, 8);
-  EXPECT_EQ(trace->edges[1].target, 9);
-  ASSERT_EQ(trace->incoming.size(), 2u);
-  EXPECT_EQ(trace->incoming[0], (Int64Value{4}));
-  EXPECT_DOUBLE_EQ(trace->aggregators.at("pi").AsDouble(), 3.5);
-  EXPECT_EQ(trace->total_vertices, 10);
-  EXPECT_EQ(trace->total_edges, 20);
-  EXPECT_EQ(trace->rng_state, 0xDEADBEEFull);
-  EXPECT_TRUE(trace->halted_after);
-  ASSERT_EQ(trace->outgoing.size(), 1u);
-  EXPECT_EQ(trace->outgoing[0].first, 8);
-  EXPECT_FALSE(trace->exception.has_value());
+  ExpectGoldenVertexFields(*trace);
+}
+
+/// Format-v2 framed records, checked in as bytes. The vertex record frames
+/// the same capture as the v0 blob. The master record is superstep 2, totals
+/// 10/20, aggregator pi 3.5 -> 4.0, halted. The manifest indexes vertex 7 of
+/// superstep 3 (worker 0, ordinal 0), vertex 9 of superstep 3 (worker 1,
+/// ordinal 2) and the master of superstep 3. Each must decode to those
+/// fields and re-encode to the same bytes: a v2 writer change that alters
+/// them breaks every trace on disk.
+constexpr char kV2VertexTraceBlob[] =
+    "\xa7\x04\x02\x00\x06\x0e\x01\x06\x0e\x01\x0a\x02\x10\x12\x02\x08\x0a"
+    "\x01\x02\x70\x69\x02\x00\x00\x00\x00\x00\x00\x0c\x40\x14\x28\xef\xbe"
+    "\xad\xde\x00\x00\x00\x00\x00\x0c\x01\x01\x10\x0c\x00\x00\x00";
+constexpr char kV2MasterTraceBlob[] =
+    "\xa7\x04\x02\x01\x04\x00\x01\x04\x14\x28\x01\x02\x70\x69\x02\x00\x00"
+    "\x00\x00\x00\x00\x0c\x40\x01\x02\x70\x69\x02\x00\x00\x00\x00\x00\x00"
+    "\x10\x40\x01";
+constexpr char kV2ManifestBlob[] =
+    "\xa7\x04\x02\x02\x00\x00\x03\x00\x06\x0e\x00\x00\x00\x06\x12\x02\x02"
+    "\x01\x06\x00\x01\x00";
+
+/// A checked-in blob without the literal's terminating NUL.
+template <size_t N>
+std::string Blob(const char (&bytes)[N]) {
+  return std::string(bytes, N - 1);
+}
+
+TEST(VersionSkewTest, CheckedInV2VertexBlobDecodesAndReencodes) {
+  const std::string blob = Blob(kV2VertexTraceBlob);
+  auto parsed = debug::ParseTraceRecord(blob);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_TRUE(parsed->header.has_value());
+  EXPECT_EQ(*parsed->header, (TraceRecordHeader{2, TraceRecordKind::kVertex,
+                                                3, 7}));
+  auto trace = VertexTrace<CCTraits>::Deserialize(blob);
+  ASSERT_TRUE(trace.ok()) << trace.status();
+  ExpectGoldenVertexFields(*trace);
+  EXPECT_EQ(trace->SerializeFramed(), blob);
+}
+
+TEST(VersionSkewTest, CheckedInV2MasterBlobDecodesAndReencodes) {
+  const std::string blob = Blob(kV2MasterTraceBlob);
+  auto master = debug::MasterTrace::Deserialize(blob);
+  ASSERT_TRUE(master.ok()) << master.status();
+  EXPECT_EQ(master->superstep, 2);
+  EXPECT_EQ(master->total_vertices, 10);
+  EXPECT_EQ(master->total_edges, 20);
+  EXPECT_DOUBLE_EQ(master->aggregators.at("pi").AsDouble(), 3.5);
+  EXPECT_DOUBLE_EQ(master->aggregators_after.at("pi").AsDouble(), 4.0);
+  EXPECT_TRUE(master->halted);
+  EXPECT_EQ(master->SerializeFramed(), blob);
+}
+
+TEST(VersionSkewTest, CheckedInV2ManifestBlobDecodesAndReencodes) {
+  const std::string blob = Blob(kV2ManifestBlob);
+  auto manifest = TraceManifest::Deserialize(blob);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(manifest->entries,
+            (std::vector<TraceManifestEntry>{
+                {TraceRecordKind::kVertex, 3, 7, 0, 0},
+                {TraceRecordKind::kVertex, 3, 9, 1, 2},
+                {TraceRecordKind::kMaster, 3, 0, -1, 0}}));
+  EXPECT_EQ(manifest->Serialize(), blob);
 }
 
 /// A v0 job directory (bare-body records, no manifest) read through the new
@@ -381,6 +491,46 @@ TEST(DebugSessionTest, ManifestAndScanAgree) {
       }
     }
   }
+}
+
+/// A manifest whose entries are out of order or duplicated fails Open, with
+/// and without a cache, instead of serving lookups from a broken index.
+TEST(DebugSessionTest, UnsortedOrDuplicateManifestFailsOpen) {
+  InMemoryTraceStore store;
+  ASSERT_TRUE(store
+                  .Append(debug::VertexTraceFile("bad", 0, 0),
+                          SampleTrace(0, 7).SerializeFramed())
+                  .ok());
+  TraceManifest duplicate;
+  duplicate.entries = {{TraceRecordKind::kVertex, 0, 7, 0, 0},
+                       {TraceRecordKind::kVertex, 0, 7, 0, 0}};
+  ASSERT_TRUE(
+      store.Append(debug::ManifestFile("bad"), duplicate.Serialize()).ok());
+  TraceBlockCache cache;
+  for (TraceBlockCache* c : {static_cast<TraceBlockCache*>(nullptr), &cache}) {
+    auto session = DebugSession<CCTraits>::Open(&store, "bad", c);
+    EXPECT_TRUE(session.status().IsInvalidArgument()) << session.status();
+  }
+  EXPECT_EQ(cache.stats().entries, 0u) << "a rejected index is not cached";
+}
+
+/// Sessions over one job on one cache share a single decoded index: the
+/// first Open decodes it, every later Open is a cache hit.
+TEST(DebugSessionTest, SessionsShareOneDecodedIndex) {
+  SessionJob job;
+  RunPageRankJob(&job);
+  TraceBlockCache cache;
+  auto first =
+      DebugSession<PageRankTraits>::Open(&job.traces, "pr-session", &cache);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const auto after_first = cache.stats();
+  EXPECT_EQ(after_first.misses, 1u);
+  auto second =
+      DebugSession<PageRankTraits>::Open(&job.traces, "pr-session", &cache);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(cache.stats().misses, after_first.misses);
+  EXPECT_EQ(cache.stats().hits, after_first.hits + 1);
+  EXPECT_EQ(&first->supersteps(), &second->supersteps()) << "one index";
 }
 
 TEST(DebugSessionTest, SelectFiltersBySuperstepVertexAndReason) {

@@ -14,6 +14,7 @@
 #include "algos/connected_components.h"
 #include "algos/pagerank.h"
 #include "common/fault_injector.h"
+#include "debug/capture_manager.h"
 #include "debug/debug_config.h"
 #include "graph/generators.h"
 #include "io/fault_injecting_trace_store.h"
@@ -727,6 +728,104 @@ TEST(DeltaCheckpointTest, GlobalDeltaRecoveryIsByteIdentical) {
   EXPECT_EQ(StoreContents(clean_traces), StoreContents(faulty_traces));
   EXPECT_EQ(clean->summary.stats.total_messages,
             recovered->summary.stats.total_messages);
+}
+
+/// Names next to the store layout that no parser may choke on: a numbered
+/// directory with no number, or a non-numeric one.
+const std::vector<std::string> kStrayCheckpointFiles = {
+    "checkpoints/pr-recovery/superstep_/COMMIT",
+    "checkpoints/pr-recovery/superstep_x/COMMIT",
+    "checkpoints/pr-recovery/topology_x/part-000",
+    "checkpoints/pr-recovery/outbox/s/part-000",
+    "checkpoints/pr-recovery/outbox/sx/part-000",
+};
+const std::vector<std::string> kStrayTraceFiles = {
+    "pr-recovery/superstep_/worker_000.vtrace",
+    "pr-recovery/superstep_x/worker_000.vtrace",
+};
+
+/// Stray directory names under checkpoints/<job>/ and <job>/ are ignored by
+/// the checkpoint listing, garbage collection (topology and outbox loops)
+/// and the trace prune, and they survive all three.
+TEST(CheckpointTest, StrayDirectoriesAreIgnored) {
+  InMemoryTraceStore store;
+  const std::string job = "pr-recovery";
+  for (const std::string& file : kStrayCheckpointFiles) {
+    ASSERT_TRUE(store.Append(file, "stray").ok());
+  }
+  for (const std::string& file : kStrayTraceFiles) {
+    ASSERT_TRUE(store.Append(file, "stray").ok());
+  }
+  CheckpointMeta meta;
+  meta.mode = pregel::CheckpointMode::kDelta;
+  meta.topology_epoch = 1;
+  for (int64_t s : {2, 4}) {
+    meta.superstep = s;
+    ASSERT_TRUE(
+        store.Append(pregel::CheckpointMetaFile(job, s), meta.Serialize())
+            .ok());
+    ASSERT_TRUE(store.Append(pregel::CheckpointCommitFile(job, s), "ok").ok());
+    ASSERT_TRUE(
+        store.Append(pregel::OutboxLogFile(job, s, 0), "log").ok());
+  }
+  ASSERT_TRUE(store.Append(debug::VertexTraceFile(job, 3, 0), "t").ok());
+
+  EXPECT_EQ(pregel::ListCommittedCheckpoints(store, job),
+            (std::vector<int64_t>{2, 4}));
+  ASSERT_TRUE(pregel::GarbageCollectCheckpoints(store, job, /*keep=*/1).ok());
+  EXPECT_EQ(pregel::ListCommittedCheckpoints(store, job),
+            (std::vector<int64_t>{4}));
+  EXPECT_FALSE(store.Exists(pregel::OutboxLogFile(job, 2, 0)))
+      << "the outbox loop still prunes real logs";
+  ASSERT_TRUE(debug::PruneTracesFrom(store, job, 0).ok());
+  EXPECT_FALSE(store.Exists(debug::VertexTraceFile(job, 3, 0)));
+  for (const std::string& file : kStrayCheckpointFiles) {
+    EXPECT_TRUE(store.Exists(file)) << file;
+  }
+  for (const std::string& file : kStrayTraceFiles) {
+    EXPECT_TRUE(store.Exists(file)) << file;
+  }
+}
+
+/// A checkpointed job whose stores hold stray directories still recovers:
+/// recovery lists checkpoints, drops outbox logs past the checkpoint and
+/// prunes re-executed traces, and every one of those parsers skips them.
+TEST(RecoveryTest, StrayDirectoriesDoNotBreakRecovery) {
+  auto graph = graph::MakeUndirected(
+      graph::GenerateErdosRenyi(300, 1200, /*seed=*/9));
+  debug::ConfigurableDebugConfig<PageRankTraits> config;
+  config.set_vertices({0, 1, 2, 50, 100});
+
+  InMemoryTraceStore clean_traces, clean_ckpts;
+  auto clean = RunCheckpointedPageRank(graph, config, &clean_traces,
+                                       &clean_ckpts, nullptr, {},
+                                       pregel::CheckpointMode::kDelta);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_TRUE(clean->summary.job_status.ok());
+
+  InMemoryTraceStore faulty_traces, faulty_ckpts;
+  for (const std::string& file : kStrayCheckpointFiles) {
+    ASSERT_TRUE(faulty_ckpts.Append(file, "stray").ok());
+  }
+  for (const std::string& file : kStrayTraceFiles) {
+    ASSERT_TRUE(faulty_traces.Append(file, "stray").ok());
+  }
+  FaultInjector injector;
+  injector.Arm({FaultSite::kDelivery, /*superstep=*/5, /*partition=*/0,
+                /*hits=*/1});
+  auto recovered = RunCheckpointedPageRank(graph, config, &faulty_traces,
+                                           &faulty_ckpts, &injector, {},
+                                           pregel::CheckpointMode::kDelta);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_TRUE(recovered->summary.job_status.ok())
+      << recovered->summary.job_status;
+  ASSERT_EQ(recovered->summary.recoveries.size(), 1u);
+  EXPECT_EQ(recovered->summary.recoveries[0].restored_superstep, 4);
+  EXPECT_EQ(clean->ranks, recovered->ranks);
+  for (const std::string& file : kStrayTraceFiles) {
+    ASSERT_TRUE(faulty_traces.DeletePrefix(file).ok());
+  }
+  EXPECT_EQ(StoreContents(clean_traces), StoreContents(faulty_traces));
 }
 
 /// Vertices outside a designated quiet set keep themselves awake by

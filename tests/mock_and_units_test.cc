@@ -8,6 +8,7 @@
 #include "debug/mock_context.h"
 #include "debug/views/text_table.h"
 #include "graph/generators.h"
+#include "io/trace_sink.h"
 #include "io/trace_store.h"
 #include "pregel/loader.h"
 #include "pregel/vertex.h"
@@ -113,7 +114,9 @@ TEST(CaptureManagerTest, PrepareTargetsMergesReasons) {
   ConfigurableDebugConfig<CCTraits> config;
   config.set_vertices({4, 5}).set_capture_neighbors(true);
   InMemoryTraceStore store;
-  CaptureManager<CCTraits> manager(&store, &config, "m");
+  SyncTraceSink sink(&store);
+  CaptureManager<CCTraits> manager(&store, &sink, &config, "m",
+                                   /*num_workers=*/1);
   auto vertices = pregel::LoadUnweighted<CCTraits>(
       graph::GenerateRing(10), [](VertexId) { return Int64Value{0}; });
   manager.PrepareTargets(vertices);
@@ -128,7 +131,9 @@ TEST(CaptureManagerTest, RandomTargetsAreDistinctVertices) {
   ConfigurableDebugConfig<CCTraits> config;
   config.set_num_random(8);
   InMemoryTraceStore store;
-  CaptureManager<CCTraits> manager(&store, &config, "m");
+  SyncTraceSink sink(&store);
+  CaptureManager<CCTraits> manager(&store, &sink, &config, "m",
+                                   /*num_workers=*/1);
   auto vertices = pregel::LoadUnweighted<CCTraits>(
       graph::GenerateRing(50), [](VertexId) { return Int64Value{0}; });
   manager.PrepareTargets(vertices);
@@ -146,7 +151,9 @@ TEST(CaptureManagerTest, RandomTargetsAreDistinctVertices) {
 TEST(CaptureManagerTest, CountersAndBytes) {
   ConfigurableDebugConfig<CCTraits> config;
   InMemoryTraceStore store;
-  CaptureManager<CCTraits> manager(&store, &config, "m");
+  SyncTraceSink sink(&store);
+  CaptureManager<CCTraits> manager(&store, &sink, &config, "m",
+                                   /*num_workers=*/1);
   VertexTrace<CCTraits> trace;
   trace.superstep = 3;
   trace.id = 1;
