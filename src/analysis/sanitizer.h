@@ -1,6 +1,7 @@
 #ifndef GRAFT_ANALYSIS_SANITIZER_H_
 #define GRAFT_ANALYSIS_SANITIZER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -128,9 +129,17 @@ class BspSanitizer {
                             const pregel::AggregatorSpec& spec) {
     std::lock_guard<std::mutex> lock(mutex_);
     aggregator_specs_[name] = spec;
+    if (spec.op == pregel::AggregatorOp::kOverwrite) {
+      any_overwrite_aggregator_.store(true, std::memory_order_release);
+    }
   }
 
+  /// Called on every Aggregate(); jobs without a kOverwrite aggregator
+  /// answer from one atomic load instead of the job-wide lock.
   bool IsOverwriteAggregator(const std::string& name) const {
+    if (!any_overwrite_aggregator_.load(std::memory_order_acquire)) {
+      return false;
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = aggregator_specs_.find(name);
     return it != aggregator_specs_.end() &&
@@ -162,19 +171,21 @@ class BspSanitizer {
 
   /// Opportunistic commutativity self-test: combine each sampled message
   /// with a few previously seen ones in both orders. Bounded (samples and
-  /// total tests) so a million sends cost a handful of combiner calls.
+  /// total tests) so a million sends cost a handful of combiner calls; once
+  /// the budget is spent or a finding is made, a send costs one atomic load.
   void TestCombinerSample(const Message& message, int64_t superstep,
                           int worker) {
     static constexpr size_t kMaxSamples = 8;
     static constexpr uint64_t kMaxTests = 64;
+    if (combiner_test_done_.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (combiner_tests_done_ >= kMaxTests || combiner_flagged_) return;
+    if (combiner_test_done_.load(std::memory_order_relaxed)) return;
     for (const Message& other : combiner_samples_) {
       ++combiner_tests_done_;
       const Message ab = combiner_(other, message);
       const Message ba = combiner_(message, other);
       if (!(ab == ba)) {
-        combiner_flagged_ = true;
+        combiner_test_done_.store(true, std::memory_order_release);
         log_.Record(AnalysisFinding{
             .kind = FindingKind::kNonCommutativeCombiner,
             .superstep = superstep,
@@ -188,7 +199,10 @@ class BspSanitizer {
                 other.ToString().c_str(), ba.ToString().c_str())});
         return;
       }
-      if (combiner_tests_done_ >= kMaxTests) break;
+      if (combiner_tests_done_ >= kMaxTests) {
+        combiner_test_done_.store(true, std::memory_order_release);
+        return;
+      }
     }
     if (combiner_samples_.size() < kMaxSamples) {
       combiner_samples_.push_back(message);
@@ -587,7 +601,11 @@ class BspSanitizer {
   std::map<std::string, OverwriteState> overwrite_state_;
   std::vector<Message> combiner_samples_;
   uint64_t combiner_tests_done_ = 0;
-  bool combiner_flagged_ = false;
+  // Lock-free early-outs for the per-send and per-Aggregate checks; each
+  // only ever flips false -> true, under mutex_. The combiner test is done
+  // once its budget is spent or it has flagged the combiner.
+  std::atomic<bool> combiner_test_done_{false};
+  std::atomic<bool> any_overwrite_aggregator_{false};
 };
 
 }  // namespace analysis

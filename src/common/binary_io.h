@@ -31,6 +31,11 @@ class BinaryWriter {
   void WriteString(std::string_view s);
   /// Raw bytes, no length prefix.
   void WriteRaw(const void* data, size_t size);
+  /// Replaces bytes already written at [offset, offset + bytes.size()), so an
+  /// encoder can fill room it reserved before the values were known.
+  void Overwrite(size_t offset, std::string_view bytes) {
+    std::memcpy(buffer_.data() + offset, bytes.data(), bytes.size());
+  }
 
   const std::string& buffer() const { return buffer_; }
   std::string&& TakeBuffer() { return std::move(buffer_); }
@@ -70,6 +75,13 @@ class BinaryReader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+/// Number of bytes WriteVarint(v) emits.
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Zigzag mapping for signed varints.
 inline uint64_t ZigzagEncode(int64_t v) {

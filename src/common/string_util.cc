@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -105,12 +106,11 @@ std::string HumanBytes(uint64_t bytes) {
 }
 
 bool ParseInt64(std::string_view s, int64_t* out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  // from_chars takes exactly -?[0-9]+: no whitespace, no '+', no base prefix.
+  int64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
   *out = v;
   return true;
 }

@@ -35,7 +35,9 @@ std::string WithThousandsSeparators(uint64_t value);
 /// 1234.5 -> "1.23 KB" etc.
 std::string HumanBytes(uint64_t bytes);
 
-/// Parses a signed integer; the full string must be consumed.
+/// Parses a signed decimal integer. The whole string must match -?[0-9]+
+/// and fit in int64: no surrounding whitespace and no '+' sign, so request
+/// parameters such as "%20%2B1" are rejected instead of read as 1.
 bool ParseInt64(std::string_view s, int64_t* out);
 /// Parses a double; the full string must be consumed.
 bool ParseDouble(std::string_view s, double* out);

@@ -176,39 +176,46 @@ class CaptureManager {
     dropped_by_limit_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Appends a vertex trace (if still under the limit). Returns whether it
-  /// was written, or the sink's error — capture I/O failures are part of
-  /// the run's outcome, not a log-and-continue event. With an async sink
-  /// "written" means accepted for flushing; a deferred store failure
-  /// surfaces at the next append or superstep-barrier quiesce.
-  Result<bool> RecordVertexTrace(const VertexTrace<Traits>& trace,
-                                 int worker) {
+  /// Appends one finished vertex record (if still under the limit) to
+  /// `worker`'s trace file. Returns whether it was written, or the sink's
+  /// error — capture I/O failures are part of the run's outcome, not a
+  /// log-and-continue event. With an async sink "written" means accepted for
+  /// flushing; a deferred store failure surfaces at the next append or
+  /// superstep-barrier quiesce. `build_seconds`, the time spent building the
+  /// record, is accounted as serialize time.
+  Result<bool> RecordVertex(const VertexRecordBuilder<Traits>& record,
+                            int worker, double build_seconds) {
+    GRAFT_CHECK(worker >= 0 && worker < num_workers_);
     uint64_t n = captures_.fetch_add(1, std::memory_order_relaxed);
     if (n >= max_captures_) {
       captures_.fetch_sub(1, std::memory_order_relaxed);
       ++dropped_by_limit_;
       return false;
     }
-    Stopwatch serialize_clock;
-    std::string payload = trace.SerializeFramed();
-    obs::AtomicDoubleAdd(&serialize_seconds_,
-                         serialize_clock.ElapsedSeconds());
-    Status append = sink_->Append(
-        VertexTraceFile(job_id_, trace.superstep, worker), payload);
+    obs::AtomicDoubleAdd(&serialize_seconds_, build_seconds);
+    ManifestSlot& slot = manifest_slots_[static_cast<size_t>(worker)];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.file_superstep != record.superstep()) {
+      slot.file = VertexTraceFile(job_id_, record.superstep(), worker);
+      slot.file_superstep = record.superstep();
+    }
+    Status append = sink_->Append(slot.file, record.record());
     if (!append.ok()) {
-      // The trace never reached the sink; undo the reservation so the
+      // The record never reached the sink; undo the reservation so the
       // counters only ever count accepted captures.
       captures_.fetch_sub(1, std::memory_order_relaxed);
       return append;
     }
-    if ((trace.reasons & (kReasonVertexValue | kReasonMessageValue)) != 0) {
-      violations_.fetch_add(trace.violations.size(),
+    if ((record.reasons() & (kReasonVertexValue | kReasonMessageValue)) !=
+        0) {
+      violations_.fetch_add(record.num_violations(),
                             std::memory_order_relaxed);
     }
-    if (trace.exception.has_value()) {
+    if (record.has_exception()) {
       exceptions_.fetch_add(1, std::memory_order_relaxed);
     }
-    IndexRecord(worker, TraceRecordKind::kVertex, trace.superstep, trace.id);
+    IndexRecordLocked(slot, worker, TraceRecordKind::kVertex,
+                      record.superstep(), record.id());
     return true;
   }
 
@@ -220,8 +227,9 @@ class CaptureManager {
     GRAFT_RETURN_NOT_OK(
         sink_->Append(MasterTraceFile(job_id_, trace.superstep), payload));
     master_captures_.fetch_add(1, std::memory_order_relaxed);
-    IndexRecord(static_cast<int>(manifest_slots_.size()) - 1,
-                TraceRecordKind::kMaster, trace.superstep, 0);
+    ManifestSlot& slot = manifest_slots_.back();
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    IndexRecordLocked(slot, -1, TraceRecordKind::kMaster, trace.superstep, 0);
     return Status::OK();
   }
 
@@ -363,13 +371,16 @@ class CaptureManager {
 
  private:
   /// Manifest entries produced by one writer thread (worker w at index w,
-  /// the master at the last index). The mutex is uncontended in steady
+  /// the master at the last index), plus that worker's trace file name for
+  /// the superstep it is capturing. The mutex is uncontended in steady
   /// state — only the owner thread appends; Rewind/Write run at barriers.
   struct ManifestSlot {
     std::mutex mutex;
     std::vector<TraceManifestEntry> entries;
     int64_t current_superstep = -1;
     uint64_t next_index = 0;
+    int64_t file_superstep = -1;
+    std::string file;
   };
 
   void InitFromConfig() {
@@ -383,14 +394,11 @@ class CaptureManager {
     max_captures_ = config_->MaxCaptures();
   }
 
-  void IndexRecord(int slot_index, TraceRecordKind kind, int64_t superstep,
-                   VertexId vertex_id) {
-    if (slot_index < 0 ||
-        static_cast<size_t>(slot_index) >= manifest_slots_.size()) {
-      return;
-    }
-    ManifestSlot& slot = manifest_slots_[static_cast<size_t>(slot_index)];
-    std::lock_guard<std::mutex> lock(slot.mutex);
+  /// Appends the manifest entry of the record just appended through
+  /// `slot`'s writer; `worker` is -1 for the master. Requires slot.mutex.
+  static void IndexRecordLocked(ManifestSlot& slot, int worker,
+                                TraceRecordKind kind, int64_t superstep,
+                                VertexId vertex_id) {
     if (slot.current_superstep != superstep) {
       slot.current_superstep = superstep;
       slot.next_index = 0;
@@ -399,7 +407,7 @@ class CaptureManager {
     entry.kind = kind;
     entry.superstep = superstep;
     entry.vertex_id = vertex_id;
-    entry.worker = kind == TraceRecordKind::kMaster ? -1 : slot_index;
+    entry.worker = worker;
     entry.record_index = slot.next_index++;
     slot.entries.push_back(entry);
   }

@@ -109,18 +109,13 @@ class DebugSession {
     return index_->supersteps;
   }
 
-  /// All vertex traces captured in `superstep`, ordered by vertex id.
+  /// All vertex traces captured in `superstep`, ordered by vertex id. The
+  /// index names the superstep's worker files; only a manifest-less job
+  /// lists the superstep directory.
   Result<std::vector<VertexTrace<Traits>>> VertexTraces(
       int64_t superstep) const {
     std::vector<VertexTrace<Traits>> traces;
-    const std::string prefix =
-        StrFormat("%s/superstep_%06lld/", job_id().c_str(),
-                  static_cast<long long>(superstep));
-    for (const std::string& file : store_->ListFiles(prefix)) {
-      if (file.size() < 7 ||
-          file.compare(file.size() - 7, 7, ".vtrace") != 0) {
-        continue;
-      }
+    for (const std::string& file : VertexTraceFiles(superstep)) {
       GRAFT_ASSIGN_OR_RETURN(TraceBlockCache::BlockPtr records,
                              ReadFileRecords(file));
       for (const std::string& record : *records) {
@@ -237,6 +232,31 @@ class DebugSession {
   DebugSession(const TraceStore* store, TraceBlockCache* cache,
                std::shared_ptr<const TraceIndex> index)
       : store_(store), cache_(cache), index_(std::move(index)) {}
+
+  std::vector<std::string> VertexTraceFiles(int64_t superstep) const {
+    std::vector<std::string> files;
+    if (has_manifest()) {
+      std::vector<int32_t> workers;
+      for (const TraceManifestEntry& e :
+           index_->manifest.Range(TraceRecordKind::kVertex, superstep)) {
+        workers.push_back(e.worker);
+      }
+      std::sort(workers.begin(), workers.end());
+      workers.erase(std::unique(workers.begin(), workers.end()),
+                    workers.end());
+      for (int32_t worker : workers) {
+        files.push_back(VertexTraceFile(job_id(), superstep, worker));
+      }
+      return files;
+    }
+    const std::string prefix =
+        StrFormat("%s/superstep_%06lld/", job_id().c_str(),
+                  static_cast<long long>(superstep));
+    for (std::string& file : store_->ListFiles(prefix)) {
+      if (file.ends_with(".vtrace")) files.push_back(std::move(file));
+    }
+    return files;
+  }
 
   /// All records of one trace file: the shared cached block when a cache is
   /// attached, a private copy otherwise.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/predicate.h"
+#include "common/stopwatch.h"
 #include "debug/capture_manager.h"
 #include "debug/vertex_trace.h"
 #include "pregel/computation.h"
@@ -21,17 +22,18 @@ namespace debug {
 /// this decorator, which the DebugRunner substitutes for the user's
 /// Computation. On every Compute() call it:
 ///
-///   1. wraps the engine's ComputeContext in an interceptor that records
-///      outgoing messages (for eagerly-captured vertices) and checks the
-///      message-value constraint on each send (category 4);
+///   1. wraps the engine's ComputeContext in an interceptor that streams
+///      outgoing messages and aggregations into the record (for
+///      eagerly-captured vertices) and checks the message-value constraint
+///      on each send (category 4);
 ///   2. calls the user's original Compute(), catching any exception
 ///      (category 5);
 ///   3. checks the vertex-value constraint on the post-compute value
 ///      (category 3);
 ///   4. decides whether the vertex should be captured — it is targeted
 ///      (categories 1/2 ± neighbors), capture-all-active is on, or a
-///      constraint/exception fired — and if so appends the full vertex
-///      context to the trace store.
+///      constraint/exception fired — and if so finishes the vertex record
+///      and appends it to the trace store.
 ///
 /// Cost discipline (this is what the Figure 7 overhead bench measures): the
 /// per-vertex work scales with what the DebugConfig actually asks for. An
@@ -42,14 +44,14 @@ namespace debug {
 ///     configured (DC-msg);
 ///   * one predicate call after Compute() when a vertex-value constraint is
 ///     configured (DC-vv).
-/// The full trace is materialized only when a capture actually happens.
+/// A record is written only for calls that are captured, in one pass into
+/// this worker's reused VertexRecordBuilder; no VertexTrace is built.
 template <pregel::JobTraits Traits>
 class InstrumentedComputation : public pregel::Computation<Traits> {
  public:
   using Message = typename Traits::Message;
   using VertexT = pregel::Vertex<Traits>;
   using VertexValue = typename Traits::VertexValue;
-  using EdgeT = pregel::Edge<typename Traits::EdgeValue>;
 
   InstrumentedComputation(std::unique_ptr<pregel::Computation<Traits>> inner,
                           CaptureManager<Traits>* manager)
@@ -109,14 +111,26 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
       return;
     }
 
-    // Cheap entry-state snapshot; needed by any capture that fires.
+    // Entry state; any capture that fires needs it. An eager capture
+    // writes its entry section now. The visible aggregators and the graph
+    // totals it reads are frozen for the whole compute phase (aggregations
+    // merge, and UpdateTotalsFromPartitions runs, between phases), so
+    // reading them before the call gives what a read after it would.
     const VertexValue value_before = vertex.value();
     const uint64_t rng_state = ctx.rng().state();
-    std::vector<EdgeT> edges_before;
-    if (eager) edges_before = vertex.edges();
+    double build_seconds = 0.0;
+    if (eager) {
+      Stopwatch build_clock;
+      record_.Reset();
+      record_.WriteEntry(value_before, vertex.edges(), messages,
+                         ctx.VisibleAggregators(), ctx.total_num_vertices(),
+                         ctx.total_num_edges(), rng_state,
+                         /*edges_snapshot_post=*/false);
+      build_seconds = build_clock.ElapsedSeconds();
+    }
 
     Interceptor ictx(&ctx, manager_, vertex.id(), check_msgs,
-                     /*record_outcome=*/eager);
+                     eager ? &record_ : nullptr);
     pregel::ComputeContext<Traits>& call_ctx =
         (eager || check_msgs) ? static_cast<pregel::ComputeContext<Traits>&>(
                                     ictx)
@@ -168,32 +182,22 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
     }
 
     if (reasons != 0 && manager_->UnderCaptureLimit()) {
-      VertexTrace<Traits> trace;
-      trace.superstep = superstep;
-      trace.id = vertex.id();
-      trace.reasons = reasons;
-      trace.value_before = value_before;
-      trace.rng_state = rng_state;
-      if (eager) {
-        trace.edges = std::move(edges_before);
-      } else {
+      Stopwatch build_clock;
+      if (!eager) {
         // The capture decision was made only after Compute() ran; the edge
         // snapshot therefore reflects any local edge mutations it made.
-        trace.edges = vertex.edges();
-        trace.edges_snapshot_post = true;
+        record_.Reset();
+        record_.WriteEntry(value_before, vertex.edges(), messages,
+                           ctx.VisibleAggregators(), ctx.total_num_vertices(),
+                           ctx.total_num_edges(), rng_state,
+                           /*edges_snapshot_post=*/true);
       }
-      trace.incoming = messages;
-      trace.aggregators = ctx.VisibleAggregators();
-      trace.total_vertices = ctx.total_num_vertices();
-      trace.total_edges = ctx.total_num_edges();
-      trace.value_after = vertex.value();
-      trace.halted_after = vertex.halted();
-      trace.outgoing = ictx.TakeOutgoing();
-      trace.aggregations = ictx.TakeAggregations();
-      trace.violations = std::move(violations);
-      trace.exception = exception;
+      record_.Finish(superstep, vertex.id(), reasons, vertex.value(),
+                     vertex.halted(), violations,
+                     exception.has_value() ? &*exception : nullptr);
+      build_seconds += build_clock.ElapsedSeconds();
       Result<bool> recorded =
-          manager_->RecordVertexTrace(trace, ctx.worker_index());
+          manager_->RecordVertex(record_, ctx.worker_index(), build_seconds);
       if (!recorded.ok()) {
         // Capture I/O failure — an infrastructure abort (retryable from a
         // checkpoint), not a vertex bug.
@@ -216,60 +220,48 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
                               VertexT& vertex,
                               const std::vector<Message>& messages,
                               uint64_t entry_rng_state,
-                              ExceptionInfo exception) {
-    std::string message = exception.message;
+                              const ExceptionInfo& exception) {
     if (manager_->UnderCaptureLimit()) {
-      VertexTrace<Traits> trace;
-      trace.superstep = ctx.superstep();
-      trace.id = vertex.id();
-      trace.reasons = kReasonException;
-      trace.value_before = vertex.value();  // post-throw snapshot
-      trace.rng_state = entry_rng_state;
-      trace.edges = vertex.edges();
-      trace.edges_snapshot_post = true;
-      trace.incoming = messages;
-      trace.aggregators = ctx.VisibleAggregators();
-      trace.total_vertices = ctx.total_num_vertices();
-      trace.total_edges = ctx.total_num_edges();
-      trace.value_after = vertex.value();
-      trace.halted_after = vertex.halted();
-      trace.exception = std::move(exception);
-      Result<bool> recorded =
-          manager_->RecordVertexTrace(trace, ctx.worker_index());
+      Stopwatch build_clock;
+      record_.Reset();
+      // Post-throw snapshot: the value and edges may reflect partial
+      // mutation, which edges_snapshot_post flags.
+      record_.WriteEntry(vertex.value(), vertex.edges(), messages,
+                         ctx.VisibleAggregators(), ctx.total_num_vertices(),
+                         ctx.total_num_edges(), entry_rng_state,
+                         /*edges_snapshot_post=*/true);
+      record_.Finish(ctx.superstep(), vertex.id(), kReasonException,
+                     vertex.value(), vertex.halted(), {}, &exception);
+      Result<bool> recorded = manager_->RecordVertex(
+          record_, ctx.worker_index(), build_clock.ElapsedSeconds());
       if (!recorded.ok()) {
         throw pregel::WorkerAbortError(recorded.status());
       }
     }
     if (manager_->config().AbortOnException()) {
-      throw pregel::VertexComputeError(message);
+      throw pregel::VertexComputeError(exception.message);
     }
   }
 
   /// Context decorator: forwards everything to the engine's context, checks
   /// the message-value constraint on each send, and (for eager captures)
-  /// records outgoing messages and aggregator updates.
+  /// streams outgoing messages and aggregator updates into the record.
   class Interceptor final : public pregel::ComputeContext<Traits> {
    public:
     using EdgeValue = typename Traits::EdgeValue;
 
+    /// `record` is null unless the call is captured eagerly.
     Interceptor(pregel::ComputeContext<Traits>* inner,
                 CaptureManager<Traits>* manager, VertexId vertex_id,
-                bool check_messages, bool record_outcome)
+                bool check_messages, VertexRecordBuilder<Traits>* record)
         : inner_(inner),
           manager_(manager),
           vertex_id_(vertex_id),
           check_messages_(check_messages),
-          record_outcome_(record_outcome) {}
+          record_(record) {}
 
     std::vector<ViolationInfo>&& TakeViolations() {
       return std::move(violations_);
-    }
-    std::vector<std::pair<VertexId, Message>>&& TakeOutgoing() {
-      return std::move(outgoing_);
-    }
-    std::vector<std::pair<std::string, pregel::AggValue>>&&
-    TakeAggregations() {
-      return std::move(aggregations_);
     }
 
     int64_t superstep() const override { return inner_->superstep(); }
@@ -287,7 +279,7 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
             ViolationInfo{ViolationInfo::Kind::kMessageValue, vertex_id_,
                           target, message.ToString()});
       }
-      if (record_outcome_) outgoing_.emplace_back(target, message);
+      if (record_ != nullptr) record_->AddOutgoing(target, message);
       inner_->SendMessage(target, message);
     }
     pregel::AggValue GetAggregated(const std::string& name) const override {
@@ -295,7 +287,7 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
     }
     void Aggregate(const std::string& name,
                    const pregel::AggValue& update) override {
-      if (record_outcome_) aggregations_.emplace_back(name, update);
+      if (record_ != nullptr) record_->AddAggregation(name, update);
       inner_->Aggregate(name, update);
     }
     const std::map<std::string, pregel::AggValue>& VisibleAggregators()
@@ -320,15 +312,17 @@ class InstrumentedComputation : public pregel::Computation<Traits> {
     CaptureManager<Traits>* manager_;
     VertexId vertex_id_;
     bool check_messages_;
-    bool record_outcome_;
+    VertexRecordBuilder<Traits>* record_;
 
     std::vector<ViolationInfo> violations_;
-    std::vector<std::pair<VertexId, Message>> outgoing_;
-    std::vector<std::pair<std::string, pregel::AggValue>> aggregations_;
   };
 
   std::unique_ptr<pregel::Computation<Traits>> inner_;
   CaptureManager<Traits>* manager_;
+  // This worker's record under construction. One instance per worker
+  // thread (factory-produced), so it is thread-confined and reused across
+  // every capture the worker makes.
+  VertexRecordBuilder<Traits> record_;
 };
 
 /// Wraps a user factory so every worker's Computation is instrumented —

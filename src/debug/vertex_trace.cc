@@ -23,17 +23,21 @@ std::string CaptureReasonsToString(uint32_t reasons) {
   return out.empty() ? "none" : out;
 }
 
+void WriteTraceRecordFrame(const TraceRecordHeader& header, BinaryWriter& w) {
+  const size_t header_len = 2 + VarintSize(ZigzagEncode(header.superstep)) +
+                            VarintSize(ZigzagEncode(header.vertex_id));
+  w.WriteU8(kTraceRecordMagic);
+  w.WriteVarint(header_len);
+  w.WriteU8(header.version);
+  w.WriteU8(static_cast<uint8_t>(header.kind));
+  w.WriteSignedVarint(header.superstep);
+  w.WriteSignedVarint(header.vertex_id);
+}
+
 std::string EncodeTraceRecord(const TraceRecordHeader& header,
                               std::string_view body) {
-  BinaryWriter h;
-  h.WriteU8(header.version);
-  h.WriteU8(static_cast<uint8_t>(header.kind));
-  h.WriteSignedVarint(header.superstep);
-  h.WriteSignedVarint(header.vertex_id);
   BinaryWriter w;
-  w.WriteU8(kTraceRecordMagic);
-  w.WriteVarint(h.buffer().size());
-  w.WriteRaw(h.buffer().data(), h.buffer().size());
+  WriteTraceRecordFrame(header, w);
   w.WriteRaw(body.data(), body.size());
   return std::move(w.TakeBuffer());
 }

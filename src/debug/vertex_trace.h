@@ -75,6 +75,10 @@ struct TraceRecordHeader {
                          const TraceRecordHeader&) = default;
 };
 
+/// Writes the v2 frame of a record (magic, header length, header) to `w`;
+/// the record's body follows it.
+void WriteTraceRecordFrame(const TraceRecordHeader& header, BinaryWriter& w);
+
 /// Frames `body` with a v2 header.
 std::string EncodeTraceRecord(const TraceRecordHeader& header,
                               std::string_view body);
@@ -206,20 +210,183 @@ struct ViolationInfo {
   friend bool operator==(const ViolationInfo&, const ViolationInfo&) = default;
 };
 
+/// Body layout version of vertex records (the first body byte).
+inline constexpr uint8_t kVertexTraceBodyVersion = 1;
+
+template <pregel::JobTraits Traits>
+struct VertexTrace;
+
+/// The one vertex-record encoder (DESIGN.md §10). It writes a framed v2
+/// vertex record in a single pass into buffers it keeps from record to
+/// record, so a capturing worker, which owns one builder, stops allocating
+/// once the buffers have grown. Per record:
+///
+///   Reset();                        // start a record
+///   WriteEntry(...);                // the Compute() inputs: before the call
+///                                   // for eager captures, after it for
+///                                   // lazy ones
+///   AddOutgoing / AddAggregation    // streamed while Compute() runs
+///   Finish(...);                    // outcome, then header and reasons
+///
+/// The frame and the body's leading fields (superstep, id and the reasons,
+/// known only once Compute() has returned) go into room reserved ahead of
+/// the entry section, so no written byte is ever moved. VertexTrace, the
+/// decoded form, encodes through this class too (Build).
+template <pregel::JobTraits Traits>
+class VertexRecordBuilder {
+ public:
+  using VertexValue = typename Traits::VertexValue;
+  using Message = typename Traits::Message;
+  using EdgeT = pregel::Edge<typename Traits::EdgeValue>;
+
+  VertexRecordBuilder() { Reset(); }
+
+  /// Discards the record in progress; buffers keep their capacity.
+  void Reset() {
+    record_.Clear();
+    record_.WriteRaw(kZeros, kMaxPrefix);
+    outgoing_.Clear();
+    aggregations_.Clear();
+    num_outgoing_ = 0;
+    num_aggregations_ = 0;
+    record_start_ = kMaxPrefix;
+    body_start_ = kMaxPrefix;
+  }
+
+  /// The entry section: what Compute() was called with.
+  void WriteEntry(const VertexValue& value_before,
+                  std::span<const EdgeT> edges,
+                  std::span<const Message> incoming,
+                  const std::map<std::string, pregel::AggValue>& aggregators,
+                  int64_t total_vertices, int64_t total_edges,
+                  uint64_t rng_state, bool edges_snapshot_post) {
+    value_before.Write(record_);
+    record_.WriteVarint(edges.size());
+    for (const EdgeT& e : edges) {
+      record_.WriteSignedVarint(e.target);
+      e.value.Write(record_);
+    }
+    record_.WriteVarint(incoming.size());
+    for (const Message& m : incoming) m.Write(record_);
+    record_.WriteVarint(aggregators.size());
+    for (const auto& [name, value] : aggregators) {
+      record_.WriteString(name);
+      value.Write(record_);
+    }
+    record_.WriteSignedVarint(total_vertices);
+    record_.WriteSignedVarint(total_edges);
+    record_.WriteFixed64(rng_state);
+    record_.WriteBool(edges_snapshot_post);
+  }
+
+  /// One sent message, in send order.
+  void AddOutgoing(VertexId target, const Message& message) {
+    outgoing_.WriteSignedVarint(target);
+    message.Write(outgoing_);
+    ++num_outgoing_;
+  }
+
+  /// One Aggregate() call, in call order.
+  void AddAggregation(std::string_view name, const pregel::AggValue& value) {
+    aggregations_.WriteString(name);
+    value.Write(aggregations_);
+    ++num_aggregations_;
+  }
+
+  /// Appends the outcome, fills in the frame and leading fields, and returns
+  /// the finished record (valid until the next Reset).
+  std::string_view Finish(int64_t superstep, VertexId id, uint32_t reasons,
+                          const VertexValue& value_after, bool halted_after,
+                          std::span<const ViolationInfo> violations,
+                          const ExceptionInfo* exception) {
+    value_after.Write(record_);
+    record_.WriteBool(halted_after);
+    record_.WriteVarint(num_outgoing_);
+    record_.WriteRaw(outgoing_.buffer().data(), outgoing_.size());
+    record_.WriteVarint(num_aggregations_);
+    record_.WriteRaw(aggregations_.buffer().data(), aggregations_.size());
+    record_.WriteVarint(violations.size());
+    for (const ViolationInfo& v : violations) v.Write(record_);
+    record_.WriteBool(exception != nullptr);
+    if (exception != nullptr) exception->Write(record_);
+
+    prefix_.Clear();
+    WriteTraceRecordFrame(
+        TraceRecordHeader{kTraceFormatVersion, TraceRecordKind::kVertex,
+                          superstep, id},
+        prefix_);
+    const size_t frame_size = prefix_.size();
+    prefix_.WriteU8(kVertexTraceBodyVersion);
+    prefix_.WriteSignedVarint(superstep);
+    prefix_.WriteSignedVarint(id);
+    prefix_.WriteVarint(reasons);
+    record_start_ = kMaxPrefix - prefix_.size();
+    body_start_ = record_start_ + frame_size;
+    record_.Overwrite(record_start_, prefix_.buffer());
+
+    superstep_ = superstep;
+    id_ = id;
+    reasons_ = reasons;
+    num_violations_ = violations.size();
+    has_exception_ = exception != nullptr;
+    return record();
+  }
+
+  /// Encodes a decoded trace.
+  std::string_view Build(const VertexTrace<Traits>& trace);
+
+  /// The framed record and its bare (seed-format) body, after Finish.
+  std::string_view record() const {
+    return std::string_view(record_.buffer()).substr(record_start_);
+  }
+  std::string_view body() const {
+    return std::string_view(record_.buffer()).substr(body_start_);
+  }
+
+  /// Fields of the finished record, for the capture counters and index.
+  int64_t superstep() const { return superstep_; }
+  VertexId id() const { return id_; }
+  uint32_t reasons() const { return reasons_; }
+  size_t num_violations() const { return num_violations_; }
+  bool has_exception() const { return has_exception_; }
+
+ private:
+  // Frame (magic, header length, header of at most 22 bytes) plus body
+  // version, superstep, id and reasons, at their widest.
+  static constexpr size_t kMaxVarint64 = 10;
+  static constexpr size_t kMaxPrefix = 1 + 1 + (2 + 2 * kMaxVarint64) + 1 +
+                                       2 * kMaxVarint64 + 5;
+  static constexpr char kZeros[kMaxPrefix] = {};
+
+  BinaryWriter record_;  // [reserved prefix][entry][outcome]
+  BinaryWriter outgoing_;
+  BinaryWriter aggregations_;
+  BinaryWriter prefix_;
+  uint64_t num_outgoing_ = 0;
+  uint64_t num_aggregations_ = 0;
+  size_t record_start_ = kMaxPrefix;
+  size_t body_start_ = kMaxPrefix;
+
+  int64_t superstep_ = 0;
+  VertexId id_ = 0;
+  uint32_t reasons_ = 0;
+  size_t num_violations_ = 0;
+  bool has_exception_ = false;
+};
+
 /// The full captured context of one vertex.compute() call (§3.1): the five
 /// pieces of data the Giraph API exposes — id, out-edges, incoming messages,
 /// aggregators, global data — plus the RNG stream state (so replay is exact,
 /// DESIGN.md §1) and the observed outcome (new value, sent messages, halt
 /// decision, violations, exception) that the GUI displays and the Context
-/// Reproducer diffs replays against.
+/// Reproducer diffs replays against. This is the decoded form: captures are
+/// encoded by VertexRecordBuilder without ever building one.
 template <pregel::JobTraits Traits>
 struct VertexTrace {
   using VertexValue = typename Traits::VertexValue;
   using EdgeValue = typename Traits::EdgeValue;
   using Message = typename Traits::Message;
   using EdgeT = pregel::Edge<EdgeValue>;
-
-  static constexpr uint8_t kFormatVersion = 1;
 
   int64_t superstep = 0;
   VertexId id = 0;
@@ -246,49 +413,9 @@ struct VertexTrace {
   std::vector<ViolationInfo> violations;
   std::optional<ExceptionInfo> exception;
 
-  void Write(BinaryWriter& w) const {
-    w.WriteU8(kFormatVersion);
-    w.WriteSignedVarint(superstep);
-    w.WriteSignedVarint(id);
-    w.WriteVarint(reasons);
-    value_before.Write(w);
-    w.WriteVarint(edges.size());
-    for (const EdgeT& e : edges) {
-      w.WriteSignedVarint(e.target);
-      e.value.Write(w);
-    }
-    w.WriteVarint(incoming.size());
-    for (const Message& m : incoming) m.Write(w);
-    w.WriteVarint(aggregators.size());
-    for (const auto& [name, value] : aggregators) {
-      w.WriteString(name);
-      value.Write(w);
-    }
-    w.WriteSignedVarint(total_vertices);
-    w.WriteSignedVarint(total_edges);
-    w.WriteFixed64(rng_state);
-    w.WriteBool(edges_snapshot_post);
-    value_after.Write(w);
-    w.WriteBool(halted_after);
-    w.WriteVarint(outgoing.size());
-    for (const auto& [target, m] : outgoing) {
-      w.WriteSignedVarint(target);
-      m.Write(w);
-    }
-    w.WriteVarint(aggregations.size());
-    for (const auto& [name, value] : aggregations) {
-      w.WriteString(name);
-      value.Write(w);
-    }
-    w.WriteVarint(violations.size());
-    for (const ViolationInfo& v : violations) v.Write(w);
-    w.WriteBool(exception.has_value());
-    if (exception.has_value()) exception->Write(w);
-  }
-
   static Result<VertexTrace> Read(BinaryReader& r) {
     GRAFT_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-    if (version != kFormatVersion) {
+    if (version != kVertexTraceBodyVersion) {
       return Status::InvalidArgument("unsupported vertex trace version " +
                                      std::to_string(version));
     }
@@ -355,18 +482,15 @@ struct VertexTrace {
 
   /// Serialized body (no frame) — the seed-format record layout.
   std::string Serialize() const {
-    BinaryWriter w;
-    Write(w);
-    return std::move(w.TakeBuffer());
+    VertexRecordBuilder<Traits> builder;
+    builder.Build(*this);
+    return std::string(builder.body());
   }
 
   /// v2 framed record for TraceStore::Append.
   std::string SerializeFramed() const {
-    TraceRecordHeader header;
-    header.kind = TraceRecordKind::kVertex;
-    header.superstep = superstep;
-    header.vertex_id = id;
-    return EncodeTraceRecord(header, Serialize());
+    VertexRecordBuilder<Traits> builder;
+    return std::string(builder.Build(*this));
   }
 
   /// Accepts both v2 framed records and legacy (seed-format) bare bodies.
@@ -381,6 +505,24 @@ struct VertexTrace {
     return Read(r);
   }
 };
+
+template <pregel::JobTraits Traits>
+std::string_view VertexRecordBuilder<Traits>::Build(
+    const VertexTrace<Traits>& trace) {
+  Reset();
+  WriteEntry(trace.value_before, trace.edges, trace.incoming,
+             trace.aggregators, trace.total_vertices, trace.total_edges,
+             trace.rng_state, trace.edges_snapshot_post);
+  for (const auto& [target, message] : trace.outgoing) {
+    AddOutgoing(target, message);
+  }
+  for (const auto& [name, value] : trace.aggregations) {
+    AddAggregation(name, value);
+  }
+  return Finish(trace.superstep, trace.id, trace.reasons, trace.value_after,
+                trace.halted_after, trace.violations,
+                trace.exception.has_value() ? &*trace.exception : nullptr);
+}
 
 /// Captured master.compute() context (§3.4, "just the aggregator values"):
 /// the aggregator values the master saw on entry (its full input context),

@@ -370,6 +370,26 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("x12", &v));
 }
 
+TEST(StringUtilTest, ParseInt64AcceptsOnlyOptionalMinusAndDigits) {
+  int64_t v = 7;
+  for (const char* bad : {" 1", "1 ", "+1", " +1", "\t1", "\n1", "-", "+",
+                          "--1", "-+1", "0x10", "1e3", "1.0",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_FALSE(ParseInt64(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7) << "a rejected parse must not write the output";
+  EXPECT_TRUE(ParseInt64("0", &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt64("-0", &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseInt64("007", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
+}
+
 TEST(StringUtilTest, ParseNumberedDir) {
   EXPECT_EQ(ParseNumberedDir("superstep_000012/worker_000.vtrace",
                              "superstep_"),

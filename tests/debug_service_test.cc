@@ -45,6 +45,17 @@ std::string JobBody(const std::string& algo, const std::string& job_id,
       algo.c_str(), job_id.c_str(), vertices, vertices * 4, iterations);
 }
 
+/// An in-memory store that counts directory listings.
+class ListCountingTraceStore final : public InMemoryTraceStore {
+ public:
+  std::vector<std::string> ListFiles(
+      const std::string& prefix) const override {
+    list_calls.fetch_add(1, std::memory_order_relaxed);
+    return InMemoryTraceStore::ListFiles(prefix);
+  }
+  mutable std::atomic<uint64_t> list_calls{0};
+};
+
 /// Everything a service test needs, wired to private registries so tests
 /// cannot see each other's jobs.
 class DebugServiceTest : public ::testing::Test {
@@ -86,7 +97,7 @@ class DebugServiceTest : public ::testing::Test {
     return job_id;
   }
 
-  InMemoryTraceStore store_;
+  ListCountingTraceStore store_;
   obs::JobRegistry registry_;
   obs::MetricsRegistry metrics_;
   TraceBlockCache cache_;
@@ -388,6 +399,48 @@ TEST_F(DebugServiceTest, MasterAndViolationsViews) {
   ASSERT_TRUE(vbody.ok());
   EXPECT_EQ((*vbody)->Get("view")->AsString(), "violations");
   EXPECT_NE((*vbody)->Get("violations"), nullptr);  // empty for a clean run
+}
+
+TEST_F(DebugServiceTest, WarmVerticesViewsListNoDirectories) {
+  RunJob("pagerank", "nolist-1", /*vertices=*/30);
+  const std::string target =
+      "/jobs/nolist-1/debug/vertices?superstep=1&limit=all";
+  Response first = server_->Handle("GET", target);
+  ASSERT_EQ(first.status, 200) << first.body;
+  const uint64_t listed = store_.list_calls.load();
+  for (int i = 0; i < 10; ++i) {
+    Response again = server_->Handle("GET", target);
+    ASSERT_EQ(again.status, 200);
+    EXPECT_EQ(again.body, first.body);
+  }
+  EXPECT_EQ(store_.list_calls.load() - listed, 0u);
+
+  // The same view read by a directory scan, once the manifest is gone,
+  // answers the same rows.
+  ASSERT_TRUE(store_.DeletePrefix(debug::ManifestFile("nolist-1")).ok());
+  cache_.Clear();
+  Response scanned = server_->Handle("GET", target);
+  ASSERT_EQ(scanned.status, 200) << scanned.body;
+  EXPECT_EQ(scanned.body, first.body);
+  EXPECT_GT(store_.list_calls.load() - listed, 0u);
+}
+
+TEST_F(DebugServiceTest, IntegerParametersAreStrictDecimal) {
+  RunJob("pagerank", "strict-1");
+  ASSERT_EQ(
+      server_->Handle("GET", "/jobs/strict-1/debug/master?superstep=1").status,
+      200);
+  // " +1" once decoded: whitespace and '+' used to be read as superstep 1.
+  for (const char* target :
+       {"/jobs/strict-1/debug/master?superstep=%20%2B1",
+        "/jobs/strict-1/debug/master?superstep=%2B1",
+        "/jobs/strict-1/debug/master?superstep=1%20",
+        "/jobs/strict-1/debug/vertices?superstep=1&offset=%2B5",
+        "/jobs/strict-1/debug/vertices?superstep=1&limit=%2010",
+        "/jobs/strict-1/debug/vertex/%2B3?superstep=1",
+        "/jobs/strict-1/debug/vertex/%203"}) {
+    EXPECT_EQ(server_->Handle("GET", target).status, 400) << target;
+  }
 }
 
 TEST_F(DebugServiceTest, AllAlgosRunAndRenderViews) {

@@ -338,6 +338,190 @@ TEST(CaptureManagerTest, CaptureReasonsRendering) {
   EXPECT_EQ(CaptureReasonsToString(kReasonAllActive), "active");
 }
 
+// ---------------------------------------- capture-record byte identity --
+
+struct RouteTraits {
+  using VertexValue = Int64Value;
+  using EdgeValue = Int64Value;
+  using Message = Int64Value;
+};
+
+constexpr VertexId kRouteVertices = 16;
+
+/// Registers a regular sum and a master-written overwrite aggregator, so
+/// records carry both visible aggregators and per-call aggregations.
+class RouteMaster : public pregel::MasterCompute {
+ public:
+  void Initialize(pregel::MasterContext& ctx) override {
+    EXPECT_TRUE(ctx.RegisterAggregator(
+                       "sum", {pregel::AggregatorOp::kSum,
+                               pregel::AggValue{int64_t{0}}, false})
+                    .ok());
+    EXPECT_TRUE(ctx.RegisterAggregator(
+                       "phase", {pregel::AggregatorOp::kOverwrite,
+                                 pregel::AggValue{std::string("init")}, true})
+                    .ok());
+  }
+  void Compute(pregel::MasterContext& ctx) override {
+    EXPECT_TRUE(ctx.SetAggregated("phase",
+                                  pregel::AggValue{std::string("s") +
+                                                   std::to_string(
+                                                       ctx.superstep())})
+                    .ok());
+  }
+};
+
+/// Touches every field of a vertex record: RNG draws, aggregations, local
+/// edge mutation (so entry and post-call edge snapshots differ), messages,
+/// halting, and an optional throw after a partial mutation.
+class RouteProgram : public pregel::Computation<RouteTraits> {
+ public:
+  explicit RouteProgram(VertexId throw_at) : throw_at_(throw_at) {}
+
+  void Compute(pregel::ComputeContext<RouteTraits>& ctx,
+               pregel::Vertex<RouteTraits>& vertex,
+               const std::vector<Int64Value>& messages) override {
+    const int64_t s = ctx.superstep();
+    int64_t value = vertex.value().value +
+                    static_cast<int64_t>(ctx.rng().NextBounded(5));
+    for (const Int64Value& m : messages) value += m.value;
+    vertex.set_value(Int64Value{value % 1000});
+    if (s % 2 == 1 && vertex.id() % 3 == 0) {
+      vertex.AddEdge((vertex.id() + 5) % kRouteVertices, Int64Value{s});
+    }
+    if (s == 2 && vertex.id() % 4 == 0 && !vertex.edges().empty()) {
+      vertex.RemoveEdgesTo(vertex.edges().front().target);
+    }
+    if (vertex.id() == throw_at_ && s == 2) {
+      throw pregel::VertexComputeError("route program fault");
+    }
+    ctx.Aggregate("sum", pregel::AggValue{vertex.value().value});
+    for (const auto& e : vertex.edges()) {
+      ctx.SendMessage(e.target,
+                      Int64Value{(vertex.value().value + e.value.value) % 97});
+    }
+    if (s >= 4) vertex.VoteToHalt();
+  }
+
+ private:
+  VertexId throw_at_;
+};
+
+void RunRoutes(const DebugConfig<RouteTraits>& config, const std::string& job,
+               VertexId throw_at, const std::string& breakpoint,
+               InMemoryTraceStore* store) {
+  pregel::JobSpec<RouteTraits> spec;
+  spec.options.job_id = job;
+  spec.options.num_workers = 2;
+  spec.options.max_supersteps = 6;
+  spec.options.seed = 20150531;
+  spec.vertices = pregel::LoadVertices<RouteTraits>(
+      graph::GenerateRing(kRouteVertices),
+      [](VertexId id) { return Int64Value{id}; },
+      [](VertexId, VertexId target, double) { return Int64Value{target}; });
+  spec.computation = [throw_at] {
+    return std::make_unique<RouteProgram>(throw_at);
+  };
+  spec.master = [] { return std::make_unique<RouteMaster>(); };
+  spec.debug_config = &config;
+  spec.trace_store = store;
+  spec.analysis.breakpoint = breakpoint;
+  auto summary = pregel::RunJob(std::move(spec));
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_TRUE(summary->job_status.ok()) << summary->job_status;
+}
+
+uint64_t StoreDigest(const TraceStore& store) {
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, length-prefixed chunks
+  auto update = [&h](std::string_view bytes) {
+    const uint64_t size = bytes.size();
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((size >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+    for (char c : bytes) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+  };
+  for (const std::string& file : store.ListFiles("")) {
+    update(file);
+    auto records = store.ReadAll(file);
+    EXPECT_TRUE(records.ok()) << records.status();
+    if (!records.ok()) continue;
+    for (const std::string& record : *records) update(record);
+  }
+  return h;
+}
+
+// Every capture route — eager capture-all-active, lazy constraint captures
+// with post-call edges, exceptions on the zero-overhead and the checked
+// path, an armed breakpoint, local edge mutation and aggregator updates —
+// must store exactly the bytes the decoded trace re-encodes to, and the
+// whole store must match a pinned digest, so any change to the record
+// layout or to what a route captures shows here. The
+// routes cannot share one job (capture-all-active makes every call eager,
+// and any armed check disables the zero-overhead path), so three jobs of
+// one program land in one store.
+TEST(CaptureRecordTest, EveryRouteStoresCanonicalBytes) {
+  InMemoryTraceStore store;
+
+  ConfigurableDebugConfig<RouteTraits> eager;
+  eager.set_capture_all_active(true);
+  RunRoutes(eager, "eager", /*throw_at=*/-1, "value % 5 == 0", &store);
+
+  ConfigurableDebugConfig<RouteTraits> lazy;
+  lazy.set_vertices({2})
+      .set_abort_on_exception(false)
+      .set_message_value_constraint(
+          [](const Int64Value& m, VertexId, VertexId, int64_t) {
+            return m.value < 60;
+          })
+      .set_vertex_value_constraint(
+          [](const Int64Value& v, VertexId, int64_t) {
+            return v.value % 7 != 0;
+          });
+  RunRoutes(lazy, "lazy", /*throw_at=*/9, "out_degree > 2", &store);
+
+  ConfigurableDebugConfig<RouteTraits> exceptions_only;
+  exceptions_only.set_abort_on_exception(false);
+  RunRoutes(exceptions_only, "exc", /*throw_at=*/6, "", &store);
+
+  uint32_t reasons_seen = 0;
+  bool saw_post_edges = false;
+  bool saw_entry_edges = false;
+  bool saw_aggregations = false;
+  size_t vertex_records = 0;
+  for (const std::string& file : store.ListFiles("")) {
+    auto records = store.ReadAll(file);
+    ASSERT_TRUE(records.ok()) << records.status();
+    for (const std::string& record : *records) {
+      if (file.ends_with(".vtrace")) {
+        auto trace = VertexTrace<RouteTraits>::Deserialize(record);
+        ASSERT_TRUE(trace.ok()) << trace.status();
+        EXPECT_EQ(trace->SerializeFramed(), record) << file;
+        ++vertex_records;
+        reasons_seen |= trace->reasons;
+        (trace->edges_snapshot_post ? saw_post_edges : saw_entry_edges) =
+            true;
+        saw_aggregations = saw_aggregations || !trace->aggregations.empty();
+      } else if (file.ends_with(".mtrace")) {
+        auto trace = MasterTrace::Deserialize(record);
+        ASSERT_TRUE(trace.ok()) << trace.status();
+        EXPECT_EQ(trace->SerializeFramed(), record) << file;
+      }
+    }
+  }
+  const uint32_t kAllRoutes = kReasonSpecified | kReasonVertexValue |
+                              kReasonMessageValue | kReasonException |
+                              kReasonAllActive | kReasonBreakpoint;
+  EXPECT_EQ(reasons_seen & kAllRoutes, kAllRoutes)
+      << CaptureReasonsToString(reasons_seen);
+  EXPECT_TRUE(saw_post_edges);
+  EXPECT_TRUE(saw_entry_edges);
+  EXPECT_TRUE(saw_aggregations);
+  EXPECT_GT(vertex_records, 100u);
+  EXPECT_EQ(StoreDigest(store), 0xb7ea966faeb77890ull);
+}
+
 }  // namespace
 }  // namespace debug
 }  // namespace graft

@@ -158,7 +158,9 @@ TEST(CaptureManagerTest, CountersAndBytes) {
   trace.superstep = 3;
   trace.id = 1;
   trace.reasons = kReasonSpecified;
-  auto recorded = manager.RecordVertexTrace(trace, 0);
+  VertexRecordBuilder<CCTraits> record;
+  record.Build(trace);
+  auto recorded = manager.RecordVertex(record, 0, /*build_seconds=*/0.0);
   ASSERT_TRUE(recorded.ok()) << recorded.status();
   EXPECT_TRUE(*recorded);
   EXPECT_EQ(manager.num_captures(), 1u);
